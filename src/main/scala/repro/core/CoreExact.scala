@@ -26,11 +26,14 @@ import scala.collection.mutable
   */
 object CoreExact {
 
-  /** Instrumentation for Table 3 / Figure 9. */
+  /** Instrumentation for Table 3 / Figure 9: per-probe network node and arc
+    * counts ([[repro.flow.Dinic.arcs]]), and Dinic phases over all probes. */
   final case class Stats(coreDecompNanos: Long,
                          totalNanos: Long,
                          networkNodeCounts: Vector[Int],
-                         probes: Int)
+                         probes: Int,
+                         networkArcCounts: Vector[Long] = Vector.empty,
+                         augmentingPhases: Long = 0L)
 
   def run(g: LocalGraph, psi: Pattern): Subgraph = runWithStats(g, psi)._1
 
@@ -80,80 +83,30 @@ object CoreExact {
     }
     val kPP = math.max(kPrime, ceilL(rhoPP))
 
-    var l        = rhoPP
-    val u        = kMax.toDouble
-    var probes   = 0
-    val netSizes = Vector.newBuilder[Int]
-
-    val comps = componentsWithin(g, dec.coreVertices(kPP))
-    comps.foreach { cc0 =>
-      var cv = cc0
+    val search = new DensitySearch(instances, n, vs => new DensestFlow.Network(
+      vs.length, DensestFlow.pruneLemma8(vs.length, DensestFlow.group(Densest.restrict(instances, n, vs)), h), h), best)
+    var l = rhoPP
+    componentsWithin(g, dec.coreVertices(kPP)).foreach { cc =>
       // shrink to the (⌈l⌉, Ψ)-core if l already exceeds k''
-      if (ceilL(l) > kPP) cv = cv.filter(v => core(v) >= ceilL(l))
-
+      val cv = if (ceilL(l) > kPP) cc.filter(v => core(v) >= ceilL(l)) else cc
       if (cv.length >= h) {
-        var shrinkK = math.max(kPP, ceilL(l))
-
-        def networkOf(vs: Array[Int]): (Array[DensestFlow.Group], Array[Int]) = {
-          val mask = new Array[Boolean](n)
-          vs.foreach(mask(_) = true)
-          val remap = new Array[Int](n)
-          vs.iterator.zipWithIndex.foreach { case (v, i) => remap(v) = i }
-          val sub = instances.iterator
-            .filter { inst =>
-              var ok = true; var i = 0
-              while (ok && i < inst.length) { ok = mask(inst(i)); i += 1 }
-              ok
-            }
-            .map(inst => inst.map(remap).sorted)
-            .toArray
-          val gs = DensestFlow.pruneLemma8(vs.length, DensestFlow.group(sub), h)
-          (gs, vs)
-        }
-
-        var (groups, verts) = networkOf(cv)
-
-        def probe(alpha: Double): Array[Int] = {
-          probes += 1
-          netSizes += verts.length + groups.length + 2
-          val s = DensestFlow.denserThan(verts.length, groups, h, alpha)
-          s.map(verts)
-        }
-
+        search.on(cv)
         // feasibility at the current lower bound (Algorithm 4 lines 7-10)
-        val first = probe(l)
-        if (first.nonEmpty) {
-          val cand0 = Densest.subgraphOf(instances, n, first)
-          if (cand0.density > best.density) best = cand0
-          if (cand0.density > l) l = cand0.density
-
-          var uc = u
-          var continue = true
-          while (continue && verts.length >= h &&
-                 uc - l >= 1.0 / (verts.length.toLong * math.max(1L, verts.length.toLong - 1L))) {
-            val alpha = (l + uc) / 2
-            val s     = probe(alpha)
-            if (s.isEmpty) uc = alpha
+        search.probe(l).foreach { first =>
+          var shrinkK = math.max(kPP, ceilL(l))
+          l = search.bisect(first.density, kMax.toDouble, (lo, vs) =>
+            // Optimization 4: locate the CDS in a higher core as l grows.
+            if (ceilL(lo) <= shrinkK) vs
             else {
-              val cand = Densest.subgraphOf(instances, n, s)
-              if (cand.density > best.density) best = cand
-              l = math.max(alpha, cand.density)
-              // Optimization 4: locate the CDS in a higher core as l grows.
-              if (ceilL(l) > shrinkK) {
-                shrinkK = ceilL(l)
-                val nv = verts.filter(v => core(v) >= shrinkK)
-                if (nv.length < h) continue = false
-                else {
-                  val nw = networkOf(nv)
-                  groups = nw._1; verts = nw._2
-                }
-              }
-            }
-          }
+              shrinkK = ceilL(lo)
+              val nv = vs.filter(v => core(v) >= shrinkK)
+              if (nv.length < h) Array.emptyIntArray else nv
+            })
         }
       }
     }
-    (best, Stats(tCore, System.nanoTime() - t0, netSizes.result(), probes))
+    (search.best, Stats(tCore, System.nanoTime() - t0, search.nodeCounts.result(), search.probes,
+                        search.arcCounts.result(), search.phases))
   }
 
   /** Connected components restricted to `subset`, returned in g-local ids. */

@@ -37,6 +37,25 @@ object Densest {
     c
   }
 
+  /** The instances inside `vs`, renumbered to sorted positions in `vs`. */
+  def restrict(instances: Array[Array[Int]], n: Int, vs: Array[Int]): Array[Array[Int]] = {
+    val pos = Array.fill(n)(-1)
+    var i = 0
+    while (i < vs.length) { pos(vs(i)) = i; i += 1 }
+    val out = Array.newBuilder[Array[Int]]
+    instances.foreach { inst =>
+      var j = 0
+      while (j < inst.length && pos(inst(j)) >= 0) j += 1
+      if (j == inst.length) {
+        val a = new Array[Int](j)
+        while (j > 0) { j -= 1; a(j) = pos(inst(j)) }
+        java.util.Arrays.sort(a)
+        out += a
+      }
+    }
+    out.result()
+  }
+
   /** Build a Subgraph record for vertex set `s` of a graph with n vertices. */
   def subgraphOf(instances: Array[Array[Int]], n: Int, s: Array[Int]): Subgraph = {
     val mu = countWithin(instances, n, s)

@@ -6,11 +6,13 @@ import repro.patterns.Pattern
 
 /** The existing exact CDS/PDS algorithm (Algorithm 1, Goldberg/Tsourakakis).
   *
-  * Binary search on the density guess α over [0, max clique-degree]; each
-  * probe builds the flow network on the ENTIRE graph and computes a min
-  * st-cut. No core-based pruning — this is the baseline CoreExact is
-  * measured against. `grouped = true` switches the network to `construct+`
-  * (Algorithm 7), which the paper applies to general patterns.
+  * Binary search on the density guess α over [0, max clique-degree]; every
+  * probe cuts the flow network on the ENTIRE graph (built once, reused across
+  * probes). No core-based pruning — this is the baseline CoreExact is
+  * measured against. As in [[CoreExact]], a successful probe raises the
+  * lower bound to the density it found rather than to α. `grouped = true`
+  * switches the network to `construct+` (Algorithm 7), which the paper
+  * applies to general patterns.
   */
 object Exact {
 
@@ -20,28 +22,16 @@ object Exact {
     val instances = psi.instances(g)
     if (instances.isEmpty) return Subgraph(Array(0), 0L, 0.0)
     val h = psi.numVertices
-    val groups =
-      if (grouped) DensestFlow.group(instances) else DensestFlow.ungrouped(instances)
+    val groups = if (grouped) DensestFlow.group(instances) else DensestFlow.ungrouped(instances)
     val deg = new Array[Long](n)
     instances.foreach(_.foreach(v => deg(v) += 1))
-
-    var l = 0.0
-    var u = deg.max.toDouble
+    val all = (0 until n).toArray
     // seed with the whole graph so the result is defined even if every probe
     // at α >= ρ_opt fails (possible when ρ_opt = μ/n, i.e. G is its own CDS)
-    var best = Subgraph((0 until n).toArray, instances.length.toLong,
-                        instances.length.toDouble / n)
-    val stop = 1.0 / (n.toLong * math.max(1L, n.toLong - 1L))
-    while (u - l >= stop) {
-      val alpha = (l + u) / 2
-      val s     = DensestFlow.denserThan(n, groups, h, alpha)
-      if (s.isEmpty) u = alpha
-      else {
-        l = alpha
-        val cand = Densest.subgraphOf(instances, n, s)
-        if (cand.density > best.density) best = cand
-      }
-    }
-    best
+    val search = new DensitySearch(instances, n, _ => new DensestFlow.Network(n, groups, h),
+      Subgraph(all, instances.length.toLong, instances.length.toDouble / n))
+    search.on(all)
+    search.bisect(0.0, deg.max.toDouble)
+    search.best
   }
 }

@@ -1,6 +1,6 @@
 package repro.core
 
-import repro.flow.{Dinic, DensestFlow}
+import repro.flow.DensestFlow
 import repro.graph.LocalGraph
 import repro.patterns.Pattern
 
@@ -11,80 +11,33 @@ import repro.patterns.Pattern
   * number over Q, the x-core contains Q and has density ≥ x/|V_Ψ|, so
   * ρ_opt(Q) ≥ x/|V_Ψ|; and every non-query vertex of the optimum participates
   * in ≥ ⌈ρ_opt(Q)⌉ instances inside it, so the optimum lies inside the
-  * (⌈x/|V_Ψ|⌉, Ψ)-core ∪ Q. The flow network forces Q onto the source side
-  * with infinite-capacity edges; a probe at guess α succeeds iff some
+  * (⌈x/|V_Ψ|⌉, Ψ)-core ∪ Q. The flow network pins Q to the source side
+  * (s→q arcs no minimum cut crosses); a probe at guess α succeeds iff some
   * Q-containing subgraph has density > α.
   */
 object QueryDensest {
-
-  private val Inf = 1e15
 
   def run(g: LocalGraph, psi: Pattern, query: Set[Int]): Subgraph = {
     require(query.nonEmpty && query.forall(v => v >= 0 && v < g.n), "bad query set")
     val n         = g.n
     val h         = psi.numVertices
     val instances = psi.instances(g)
-    if (instances.isEmpty) {
-      val q = query.toArray.sorted
-      return Subgraph(q, 0L, 0.0)
-    }
+    if (instances.isEmpty) return Subgraph(query.toArray.sorted, 0L, 0.0)
     val dec = CliqueCore.decomposeInstances(n, instances)
     val x   = query.map(dec.core(_)).min
     val kLoc = math.max(0L, math.ceil(x.toDouble / h - 1e-9).toLong)
 
     // candidate vertex set: the localization core plus Q itself
-    val cand = (dec.coreVertices(kLoc).toSet ++ query).toArray.sorted
-    val mask = new Array[Boolean](n)
-    cand.foreach(mask(_) = true)
-    val remap = new Array[Int](n)
-    cand.iterator.zipWithIndex.foreach { case (v, i) => remap(v) = i }
-    val sub = instances.iterator
-      .filter(inst => inst.forall(mask))
-      .map(inst => inst.map(remap).sorted)
-      .toArray
-    val groups = DensestFlow.group(sub)
-    val qLocal = query.map(remap)
-
-    def probe(alpha: Double): Array[Int] = {
-      val nV = cand.length
-      val s  = 0
-      val t  = nV + groups.length + 1
-      val d  = new Dinic(t + 1)
-      val deg = new Array[Long](nV)
-      groups.foreach(gr => gr.verts.foreach(v => deg(v) += gr.mult))
-      (0 until nV).foreach { v =>
-        val cap = if (qLocal(v)) Inf else deg(v).toDouble
-        if (cap > 0) d.addEdge(s, v + 1, cap)
-        d.addEdge(v + 1, t, alpha * h)
-      }
-      groups.iterator.zipWithIndex.foreach { case (gr, gi) =>
-        val node = nV + 1 + gi
-        gr.verts.foreach { u =>
-          d.addEdge(u + 1, node, gr.mult.toDouble)
-          d.addEdge(node, u + 1, gr.mult.toDouble * (h - 1))
-        }
-      }
-      d.maxFlow(s, t)
-      val inS = d.minCutSourceSide(s)
-      (0 until nV).filter(v => inS(v + 1)).map(cand).toArray
-    }
-
+    val cand   = (dec.coreVertices(kLoc).toSet ++ query).toArray.sorted
+    val pinned = query.toArray.map(java.util.Arrays.binarySearch(cand, _))
     // seed: the smallest core containing Q is itself a Q-containing candidate
-    var best = Densest.subgraphOf(instances, n, cand)
-    var l    = math.max(x.toDouble / h, best.density)
-    var u    = dec.kMax.toDouble
-    val stop = 1.0 / (cand.length.toLong * math.max(1L, cand.length.toLong - 1L))
-    while (u - l >= stop) {
-      val alpha = (l + u) / 2
-      val s     = probe(alpha)
-      val candS = Densest.subgraphOf(instances, n, s)
-      if (candS.density > alpha + 1e-12) {
-        l = candS.density
-        if (candS.density > best.density) best = candS
-      } else u = alpha
-    }
-    // the result must contain Q; `probe` forces that, the seed contains Q too
-    best
+    val search = new DensitySearch(instances, n, vs => new DensestFlow.Network(
+      vs.length, DensestFlow.group(Densest.restrict(instances, n, vs)), h, pinned),
+      Densest.subgraphOf(instances, n, cand))
+    search.on(cand)
+    search.bisect(math.max(x.toDouble / h, search.best.density), dec.kMax.toDouble)
+    // the result must contain Q: every probe's source side and the seed do
+    search.best
   }
 
   /** Brute-force reference for tiny graphs: densest subset containing Q. */

@@ -72,10 +72,6 @@ final class LocalGraph(val ids: Array[Long], val adj: Array[Array[Int]]) extends
     (new LocalGraph(keepArr.map(ids), newAdj), keepArr)
   }
 
-  /** Subgraph induced by a boolean mask over local ids. */
-  def inducedMask(keep: Array[Boolean]): LocalGraph =
-    induced((0 until n).filter(keep))
-
   /** Connected-component id per vertex (ids are 0-based, arbitrary order). */
   def connectedComponents(): Array[Int] = {
     val comp  = Array.fill(n)(-1)

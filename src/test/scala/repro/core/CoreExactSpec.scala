@@ -113,4 +113,19 @@ class CoreExactSpec extends AnyFunSuite {
     val r = CoreExact.run(g, Pattern.Triangle)
     assert(math.abs(r.density - 20.0 / 6) < 1e-9) // C(6,3)/6
   }
+
+  test("stats: arc counts follow the network's arc formula (K6, edge)") {
+    // s→v for the 6 vertices, v→t for the 6, and 2·h arcs for each of the 15
+    // edge groups; nodes: 6 vertices, 15 groups, s and t
+    val (_, st) = CoreExact.runWithStats(TestUtil.complete(6), Pattern.Edge)
+    assert(st.probes == 1)
+    assert(st.networkNodeCounts == Vector(6 + 15 + 2))
+    assert(st.networkArcCounts == Vector(6L + 6 + 2 * 2 * 15))
+    assert(st.augmentingPhases > 0)
+  }
+
+  test("stats: one node count, one arc count per probe") {
+    val (_, st) = CoreExact.runWithStats(SynthGraphs.figure5, Pattern.Edge)
+    assert(st.networkNodeCounts.size == st.probes && st.networkArcCounts.size == st.probes)
+  }
 }

@@ -77,4 +77,10 @@ class ExactSpec extends AnyFunSuite {
     val r = Exact.run(g, Pattern.Edge)
     assert(math.abs(r.density - 1.5) < 1e-9)
   }
+
+  test("a 20,000-vertex path runs without overflowing the stack") {
+    val n = 20000
+    val r = Exact.run(TestUtil.path(n), Pattern.Edge)
+    assert(r.size == n && r.density == (n - 1).toDouble / n)
+  }
 }

@@ -68,4 +68,14 @@ class QueryDensestSpec extends AnyFunSuite {
     assert(r.density == 0.0)
     assert(r.vertices.contains(2))
   }
+
+  for ((p, nm) <- Seq((Pattern.Edge, "edge"), (Pattern.Triangle, "triangle"))) {
+    test(s"a query vertex of the densest subgraph gets the unconstrained optimum (SSCA, Ψ=$nm)") {
+      // with 1e15 on the query's s→q arc, round-off lost the optimum here
+      val g  = repro.data.SynthGraphs.standIn("SSCA", 0.01, 17).g
+      val ce = CoreExact.run(g, p)
+      val r  = QueryDensest.run(g, p, Set(ce.vertices(0)))
+      assert(math.abs(r.density - ce.density) < 1e-9, s"${r.density} vs ${ce.density}")
+    }
+  }
 }

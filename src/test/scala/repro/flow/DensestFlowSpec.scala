@@ -95,4 +95,78 @@ class DensestFlowSpec extends AnyFunSuite {
     val gs   = DensestFlow.group(inst)
     assert(DensestFlow.pruneLemma8(5, gs, 3).length == gs.length)
   }
+
+  // α goes up and down, so a reused network must not keep state between probes
+  private val alphas = Seq(0.5, 2.0, 0.1, 1.3, 0.0, 3.5, 0.9, 1.3, 0.25)
+
+  private def cut(d: Dinic, s: Int, t: Int): (Double, Seq[Boolean]) = {
+    val f = d.maxFlow(s, t)
+    (f, d.minCutSourceSide(s).toSeq)
+  }
+
+  for (seed <- 1 to 6; (p, nm, grouped) <- Seq((Pattern.Edge, "edge", false),
+       (Pattern.Triangle, "triangle", false), (Pattern.Diamond, "grouped diamond", true))) {
+    test(s"a reused network cuts like a freshly built one ($nm, seed=$seed)") {
+      val g    = TestUtil.randomGraph(12, 0.45, seed)
+      val inst = p.instances(g)
+      val gs   = if (grouped) DensestFlow.group(inst) else DensestFlow.ungrouped(inst)
+      val h    = p.numVertices
+      val net  = new DensestFlow.Network(g.n, gs, h)
+      for (alpha <- alphas) {
+        val (d, s, t) = DensestFlow.build(g.n, gs, h, alpha)
+        assert(cut(net.at(alpha), net.s, net.t) == cut(d, s, t), s"alpha=$alpha")
+      }
+    }
+  }
+
+  for (seed <- 1 to 4) {
+    test(s"a reused network with pinned vertices cuts like a fresh one (seed=$seed)") {
+      val g      = TestUtil.randomGraph(12, 0.4, seed)
+      val gs     = DensestFlow.group(Pattern.Triangle.instances(g))
+      val pinned = Array(seed % g.n, (seed * 5) % g.n)
+      val net    = new DensestFlow.Network(g.n, gs, 3, pinned)
+      for (alpha <- alphas) {
+        val fresh = new DensestFlow.Network(g.n, gs, 3, pinned)
+        val (f, side) = cut(net.at(alpha), net.s, net.t)
+        assert((f, side) == cut(fresh.at(alpha), fresh.s, fresh.t), s"alpha=$alpha")
+        assert(pinned.forall(v => side(v + 1)), s"alpha=$alpha: a pinned vertex was cut off")
+        assert(side == cut(hugePins(g.n, gs, 3, pinned, alpha), 0, g.n + gs.length + 1)._2)
+      }
+    }
+  }
+
+  /** The same network with 1e15 on the pinned s→v arcs in place of a bound. */
+  private def hugePins(nV: Int, gs: Array[DensestFlow.Group], h: Int, pinned: Array[Int],
+                       alpha: Double): Dinic = {
+    val t   = nV + gs.length + 1
+    val d   = new Dinic(t + 1)
+    val deg = new Array[Long](nV)
+    gs.foreach(gr => gr.verts.foreach(deg(_) += gr.mult))
+    for (v <- 0 until nV) {
+      if (pinned.contains(v)) d.addEdge(0, v + 1, 1e15)
+      else if (deg(v) > 0) d.addEdge(0, v + 1, deg(v).toDouble)
+      d.addEdge(v + 1, t, alpha * h)
+    }
+    for ((gr, gi) <- gs.zipWithIndex; u <- gr.verts) {
+      d.addEdge(u + 1, nV + 1 + gi, gr.mult.toDouble)
+      d.addEdge(nV + 1 + gi, u + 1, gr.mult.toDouble * (h - 1))
+    }
+    d
+  }
+
+  private def rejects(bad: String)(body: => Any): Unit = {
+    val e = intercept[IllegalArgumentException](body)
+    assert(e.getMessage.contains(bad), e.getMessage)
+  }
+
+  test("build and denserThan reject group vertices >= nVerts, h < 1 and bad alpha") {
+    val gs = Array(DensestFlow.Group(Array(0, 1, 4), 1))
+    rejects("4")(DensestFlow.build(4, gs, 3, 1.0))
+    rejects("4")(DensestFlow.denserThan(4, gs, 3, 1.0))
+    val ok = Array(DensestFlow.Group(Array(0, 1, 2), 1))
+    rejects("0")(DensestFlow.build(4, ok, 0, 1.0))
+    rejects("-1.0")(DensestFlow.build(4, ok, 3, -1.0))
+    rejects("NaN")(DensestFlow.denserThan(4, ok, 3, Double.NaN))
+    rejects("-0.5")(DensestFlow.denserThan(4, ok, 3, -0.5))
+  }
 }

@@ -78,4 +78,67 @@ class DinicSpec extends AnyFunSuite {
       assert(math.abs(f - bruteMinCut(n, edges, 0, n - 1)) < 1e-9)
     }
   }
+
+  test("100,000-node path: flow is the bottleneck, source side ends at it") {
+    val n = 100000
+    val d = new Dinic(n)
+    (0 until n - 1).foreach(i => d.addEdge(i, i + 1, if (i == 61234) 1.5 else 2.0 + i % 7))
+    assert(d.maxFlow(0, n - 1) == 1.5)
+    val inS = d.minCutSourceSide(0)
+    assert((0 until n).forall(v => inS(v) == (v <= 61234)))
+  }
+
+  test("layered network 2,000 layers deep: flow equals the thin layer's cut") {
+    // complete bipartite arcs (cap 1) between consecutive layers of width w,
+    // except one diagonal-only layer pair: min cut = w, at that pair
+    val (layers, w, thin) = (2000, 4, 1234)
+    def node(i: Int, j: Int) = 1 + i * w + j
+    val t = layers * w + 1
+    val d = new Dinic(t + 1)
+    (0 until w).foreach { j => d.addEdge(0, node(0, j), 100.0); d.addEdge(node(layers - 1, j), t, 100.0) }
+    for (i <- 0 until layers - 1; j <- 0 until w; k <- 0 until w if i != thin || j == k)
+      d.addEdge(node(i, j), node(i + 1, k), 1.0)
+    assert(d.maxFlow(0, t) == w.toDouble)
+    val inS = d.minCutSourceSide(0)
+    assert((0 until layers).forall(i => inS(node(i, 0)) == (i <= thin)))
+  }
+
+  private def rejects(bad: String)(body: => Any): Unit = {
+    val e = intercept[IllegalArgumentException](body)
+    assert(e.getMessage.contains(bad), e.getMessage)
+  }
+
+  test("addEdge rejects node ids outside [0, n)") {
+    val d = new Dinic(3)
+    rejects("3")(d.addEdge(0, 3, 1.0))
+    rejects("-1")(d.addEdge(-1, 2, 1.0))
+  }
+
+  test("addEdge rejects negative, NaN and infinite capacities") {
+    val d = new Dinic(3)
+    rejects("-0.5")(d.addEdge(0, 1, -0.5))
+    rejects("NaN")(d.addEdge(0, 1, Double.NaN))
+    rejects("Infinity")(d.addEdge(0, 1, Double.PositiveInfinity))
+  }
+
+  test("maxFlow rejects s == t and out-of-range terminals") {
+    val d = new Dinic(3)
+    d.addEdge(0, 1, 1.0)
+    rejects("1")(d.maxFlow(1, 1))
+    rejects("5")(d.maxFlow(5, 1))
+    rejects("-2")(d.maxFlow(0, -2))
+  }
+
+  test("reset restores capacities, so a second maxFlow repeats the first") {
+    val d = new Dinic(4)
+    d.addEdge(0, 1, 3.0); d.addEdge(1, 3, 2.0)
+    val arc = d.addEdge(0, 2, 4.0); d.addEdge(2, 3, 5.0)
+    assert(d.maxFlow(0, 3) == 6.0)
+    assert(d.maxFlow(0, 3) == 0.0)
+    d.reset()
+    assert(d.maxFlow(0, 3) == 6.0)
+    d.setCapacity(arc, 1.0)
+    d.reset()
+    assert(d.maxFlow(0, 3) == 3.0)
+  }
 }
