@@ -6,10 +6,12 @@ import scala.collection.mutable
 
 /** (k, Ψ)-core decomposition (Algorithm 3), generalized to any pattern.
   *
-  * Instances of Ψ are materialized once and indexed per vertex; peeling the
-  * minimum-clique-degree vertex kills its live instances and decrements the
-  * other members — output-identical to the paper's re-enumeration variant
-  * with the same worst-case complexity (see DESIGN.md "Deviations").
+  * Instances of Ψ are materialized once and indexed per vertex in one CSR
+  * (an offset array of n + 1 entries over one array of instance ids). The
+  * shared [[Peel]] removes the live vertex of smallest (Ψ-degree, id); its
+  * live instances die and their other members lose one degree each. Core
+  * numbers are those of the paper's re-enumeration variant, with the same
+  * worst-case complexity (see DESIGN.md "Deviations").
   *
   * The peel also records, for every prefix of removals, the density of the
   * residual graph — this yields ρ' for CoreExact's Pruning 1 and the best
@@ -34,7 +36,12 @@ object CliqueCore {
     def kMax: Long = if (core.isEmpty) 0L else core.max
 
     /** Vertices (local ids) of the (k, Ψ)-core. */
-    def coreVertices(k: Long): Array[Int] = core.indices.filter(core(_) >= k).toArray
+    def coreVertices(k: Long): Array[Int] = {
+      val out = new mutable.ArrayBuilder.ofInt
+      var v   = 0
+      while (v < core.length) { if (core(v) >= k) out += v; v += 1 }
+      out.result()
+    }
 
     /** Vertices of the (k_max, Ψ)-core. */
     def kMaxCoreVertices: Array[Int] = coreVertices(kMax)
@@ -47,81 +54,82 @@ object CliqueCore {
   def decompose(g: LocalGraph, psi: Pattern): Result =
     decomposeInstances(g.n, psi.instances(g))
 
-  /** Decompose given pre-materialized instances (sorted local-id arrays). */
+  /** Decompose given pre-materialized instances (local-id arrays).
+    *
+    * @throws IllegalArgumentException as [[index]] does
+    */
   def decomposeInstances(n: Int, instances: Array[Array[Int]]): Result = {
-    if (n == 0) return Result(Array.empty, Array.empty, 0L, 0.0, 0)
+    val (off, ids) = index(n, instances)
     val deg = new Array[Long](n)
-    instances.foreach { inst =>
-      var i = 0
-      while (i < inst.length) { deg(inst(i)) += 1; i += 1 }
-    }
-    // per-vertex instance index
-    val counts = new Array[Int](n)
-    instances.foreach(inst => inst.foreach(counts(_) += 1))
-    val vertexInst = Array.tabulate(n)(v => new Array[Int](counts(v)))
-    val fill = new Array[Int](n)
-    var ii = 0
+    var v   = 0
+    while (v < n) { deg(v) = off(v + 1) - off(v); v += 1 }
+
+    val dead = new Array[Boolean](instances.length)
+    new Peel(deg) {
+      private var mu = instances.length.toLong
+
+      protected def removed(u: Int): Long = {
+        var i = off(u)
+        while (i < off(u + 1)) {
+          val id = ids(i)
+          if (!dead(id)) {
+            dead(id) = true
+            mu -= 1
+            // a live instance has only live members
+            val inst = instances(id)
+            var j = 0
+            while (j < inst.length) { if (inst(j) != u) decrement(inst(j)); j += 1 }
+          }
+          i += 1
+        }
+        mu
+      }
+    }.run(instances.length.toLong)
+  }
+
+  /** Vertex → instance index as one CSR: the ids of the instances that hold
+    * v are `ids(off(v) until off(v + 1))`, in increasing order.
+    *
+    * @throws IllegalArgumentException if n < 0, or an instance holds a vertex
+    *         outside [0, n) or repeats a vertex
+    */
+  private[core] def index(n: Int, instances: Array[Array[Int]]): (Array[Int], Array[Int]) = {
+    if (n < 0) throw new IllegalArgumentException(s"vertex count $n is negative")
+    // off(v) counts v's instances, then becomes the end of v's slice of ids
+    // and, after the fill, its start
+    val off   = new Array[Int](n + 1)
+    var total = 0L
+    var ii    = 0
     while (ii < instances.length) {
       val inst = instances(ii)
       var i = 0
       while (i < inst.length) {
         val v = inst(i)
-        vertexInst(v)(fill(v)) = ii; fill(v) += 1
+        if (v < 0 || v >= n)
+          throw new IllegalArgumentException(s"instance $ii holds vertex $v outside [0, $n)")
+        var j = 0
+        while (j < i) {
+          if (inst(j) == v) throw new IllegalArgumentException(s"instance $ii repeats vertex $v")
+          j += 1
+        }
+        off(v) += 1
         i += 1
       }
+      total += inst.length
       ii += 1
     }
-
-    val alive     = Array.fill(n)(true)
-    val instAlive = Array.fill(instances.length)(true)
-    val core      = new Array[Long](n)
-    val order     = new Array[Int](n)
-    // lazy-deletion min-heap over (degree, vertex)
-    val pq = mutable.PriorityQueue.empty[(Long, Int)](Ordering.by[(Long, Int), Long](_._1).reverse)
+    if (total > Int.MaxValue)
+      throw new IllegalArgumentException(s"$total vertex-instance incidences do not fit one array")
     var v = 0
-    while (v < n) { pq.enqueue((deg(v), v)); v += 1 }
-
-    var k              = 0L
-    var remainingInst  = instances.length.toLong
-    var remainingVerts = n
-    var bestDensity    = remainingInst.toDouble / remainingVerts // density of G itself
-    var bestSuffix     = 0
-    var removed        = 0
-
-    while (removed < n) {
-      var (d0, u) = pq.dequeue()
-      while (!alive(u) || d0 != deg(u)) { val t = pq.dequeue(); d0 = t._1; u = t._2 }
-      if (d0 > k) k = d0
-      core(u) = k
-      order(removed) = u
-      alive(u) = false
-      val insts = vertexInst(u)
+    while (v < n) { off(v + 1) += off(v); v += 1 }
+    val ids = new Array[Int](total.toInt)
+    ii = instances.length - 1
+    while (ii >= 0) {
+      val inst = instances(ii)
       var i = 0
-      while (i < insts.length) {
-        val id = insts(i)
-        if (instAlive(id)) {
-          instAlive(id) = false
-          remainingInst -= 1
-          val inst = instances(id)
-          var j = 0
-          while (j < inst.length) {
-            val w = inst(j)
-            if (w != u && alive(w)) {
-              deg(w) -= 1
-              pq.enqueue((deg(w), w))
-            }
-            j += 1
-          }
-        }
-        i += 1
-      }
-      removed += 1
-      remainingVerts -= 1
-      if (remainingVerts > 0) {
-        val dens = remainingInst.toDouble / remainingVerts
-        if (dens > bestDensity) { bestDensity = dens; bestSuffix = removed }
-      }
+      while (i < inst.length) { val w = inst(i); off(w) -= 1; ids(off(w)) = ii; i += 1 }
+      ii -= 1
     }
-    Result(core, order, instances.length.toLong, bestDensity, bestSuffix)
+    (off, ids)
   }
 }

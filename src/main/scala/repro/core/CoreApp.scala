@@ -29,8 +29,7 @@ object CoreApp {
   }
 
   def run(g: LocalGraph, psi: Pattern): Subgraph = {
-    val (kMax, verts, inst) = kMaxCore(g, psi)
-    val _ = kMax
+    val (_, verts, inst) = kMaxCore(g, psi)
     if (verts.isEmpty) return Subgraph(if (g.n > 0) Array(0) else Array.empty, 0L, 0.0)
     Subgraph(verts, inst, inst.toDouble / verts.length)
   }
@@ -69,9 +68,10 @@ object CoreApp {
           val core = dec.kMaxCoreVertices
           (dec.kMax, core, psi.count(sub.induced(core)))
         case _ =>
-          val dec  = CliqueCore.decompose(sub, psi)
+          val inst = psi.instances(sub)
+          val dec  = CliqueCore.decomposeInstances(sub.n, inst)
           val core = dec.kMaxCoreVertices
-          (dec.kMax, core, Densest.countWithin(psi.instances(sub), sub.n, core))
+          (dec.kMax, core, Densest.countWithin(inst, sub.n, core))
       }
       if (subKMax >= kMax) {
         kMax = subKMax

@@ -20,27 +20,21 @@ object NucleusAND {
     coreNumbersFromInstances(g.n, psi.instances(g))
 
   def coreNumbersFromInstances(n: Int, instances: Array[Array[Int]]): Array[Long] = {
-    val est = new Array[Long](n)
-    instances.foreach(_.foreach(v => est(v) += 1)) // start at Ψ-degree
-
-    // per-vertex instance index
-    val counts = new Array[Int](n)
-    instances.foreach(_.foreach(counts(_) += 1))
-    val idx  = Array.tabulate(n)(v => new Array[Int](counts(v)))
-    val fill = new Array[Int](n)
-    for (i <- instances.indices; v <- instances(i)) { idx(v)(fill(v)) = i; fill(v) += 1 }
+    val (off, ids) = CliqueCore.index(n, instances)
+    val est = new Array[Long](n) // start at Ψ-degree
+    var v   = 0
+    while (v < n) { est(v) = off(v + 1) - off(v); v += 1 }
 
     var changed = true
     while (changed) {
       changed = false
-      var v = 0
+      v = 0
       while (v < n) {
-        val mine = idx(v)
-        if (mine.nonEmpty) {
-          val vals = new Array[Long](mine.length)
+        if (off(v + 1) > off(v)) {
+          val vals = new Array[Long](off(v + 1) - off(v))
           var i = 0
-          while (i < mine.length) {
-            val inst = instances(mine(i))
+          while (i < vals.length) {
+            val inst = instances(ids(off(v) + i))
             var mn   = Long.MaxValue
             var j    = 0
             while (j < inst.length) {

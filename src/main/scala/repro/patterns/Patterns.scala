@@ -78,7 +78,8 @@ object Pattern {
     }
 
     /** Closed-form star degree (Appendix D.1, Eq. 25):
-      * C(deg(v), x) as center + Σ_{u∈N(v)} C(deg(u)-1, x-1) as a tail.
+      * C(deg(v), x) as center + Σ_{u∈N(v)} C(deg(u)-1, x-1) as a tail,
+      * saturating at Long.MaxValue.
       */
     override def degrees(g: LocalGraph): Array[Long] = {
       val x = tails
@@ -86,13 +87,16 @@ object Pattern {
         var t = Combinatorics.choose(g.degree(v), x)
         val a = g.adj(v)
         var i = 0
-        while (i < a.length) { t += Combinatorics.choose(g.degree(a(i)) - 1, x - 1); i += 1 }
+        while (i < a.length) {
+          t = Combinatorics.satAdd(t, Combinatorics.choose(g.degree(a(i)) - 1, x - 1))
+          i += 1
+        }
         t
       }
     }
 
     override def count(g: LocalGraph): Long =
-      (0 until g.n).foldLeft(0L)((acc, v) => acc + Combinatorics.choose(g.degree(v), tails))
+      (0 until g.n).foldLeft(0L)((acc, v) => Combinatorics.satAdd(acc, Combinatorics.choose(g.degree(v), tails)))
   }
 
   /** Diamond = the 4-cycle C4 (per Appendix D.2 its pattern-degree counts
@@ -354,4 +358,7 @@ object Combinatorics {
     }
     res
   }
+
+  /** a + b for non-negative a and b, saturating at Long.MaxValue like [[choose]]. */
+  def satAdd(a: Long, b: Long): Long = if (a > Long.MaxValue - b) Long.MaxValue else a + b
 }

@@ -1,6 +1,6 @@
 package repro.patterns
 
-import repro.core.CliqueCore
+import repro.core.{CliqueCore, Peel}
 import repro.graph.LocalGraph
 import scala.collection.mutable
 
@@ -12,17 +12,18 @@ import scala.collection.mutable
   * are recomputed from the formulas. This reduces the decomposition from
   * O(n·d^x) (resp. O(n·d^3)) to O(n·d^2), as in Appendix D.
   *
-  * Output matches [[CliqueCore.decomposeInstances]] over the materialized
-  * instance list (asserted in SpecialCoresSpec).
+  * Both run on the [[Peel]] engine of [[CliqueCore.decomposeInstances]],
+  * with the same (degree, id) tie rule, so core numbers, removal order and
+  * best residual suffix match the generic peel over the materialized
+  * instance list (asserted in SpecialCoresSpec). Star degrees saturate at
+  * Long.MaxValue like [[Combinatorics.choose]].
   */
 object SpecialCores {
 
   /** (k, x-star)-core decomposition without instance materialization. */
   def decomposeStar(g: LocalGraph, x: Int): CliqueCore.Result = {
     require(x >= 2, s"x-star needs x >= 2, got $x")
-    val n = g.n
-    if (n == 0) return CliqueCore.Result(Array.empty, Array.empty, 0L, 0.0, 0)
-
+    val n     = g.n
     val alive = Array.fill(n)(true)
     val deg   = Array.tabulate(n)(g.degree) // residual edge-degree
 
@@ -33,36 +34,39 @@ object SpecialCores {
       var i = 0
       while (i < a.length) {
         val u = a(i)
-        if (alive(u)) t += Combinatorics.choose(deg(u) - 1, x - 1)
+        if (alive(u)) t = Combinatorics.satAdd(t, Combinatorics.choose(deg(u) - 1, x - 1))
         i += 1
       }
       t
     }
 
-    val pdeg = Array.tabulate(n)(starDeg)
-    var mu   = 0L // Σ_v C(deg(v), x): one instance per (center, tail-set)
-    (0 until n).foreach(v => mu += Combinatorics.choose(deg(v), x))
+    val mu0 = Pattern.Star(x).count(g) // Σ_v C(deg(v), x): one instance per (center, tail-set)
+    new Peel(Array.tabulate(n)(starDeg)) {
+      private var mu = mu0
 
-    runPeel(n, alive, pdeg, mu, onRemove = { v =>
-      val aff = twoHop(g, alive, v)
-      mu -= Combinatorics.choose(deg(v), x)
-      g.adj(v).foreach { u =>
-        if (alive(u)) {
-          mu -= Combinatorics.choose(deg(u), x)
-          deg(u) -= 1
-          mu += Combinatorics.choose(deg(u), x)
+      // once saturated, μ stays at Long.MaxValue: the lost terms are unknown
+      private def replaceTerm(before: Long, after: Long): Unit =
+        if (mu != Long.MaxValue) mu = Combinatorics.satAdd(mu - before, after)
+
+      protected def removed(v: Int): Long = {
+        alive(v) = false
+        val aff = twoHop(g, alive, v)
+        replaceTerm(Combinatorics.choose(deg(v), x), 0L)
+        g.adj(v).foreach { u =>
+          if (alive(u)) {
+            replaceTerm(Combinatorics.choose(deg(u), x), Combinatorics.choose(deg(u) - 1, x))
+            deg(u) -= 1
+          }
         }
+        aff.foreach(w => setDegree(w, starDeg(w)))
+        mu
       }
-      aff.foreach(w => pdeg(w) = starDeg(w))
-      (mu, aff)
-    })
+    }.run(mu0)
   }
 
   /** (k, diamond)-core decomposition (diamond = C4, Appendix D.2). */
   def decomposeDiamond(g: LocalGraph): CliqueCore.Result = {
-    val n = g.n
-    if (n == 0) return CliqueCore.Result(Array.empty, Array.empty, 0L, 0.0, 0)
-
+    val n     = g.n
     val alive = Array.fill(n)(true)
 
     def c4Deg(v: Int): Long = {
@@ -76,19 +80,22 @@ object SpecialCores {
       paths.valuesIterator.foldLeft(0L)((acc, c) => acc + Combinatorics.choose(c, 2))
     }
 
-    val pdeg   = Array.tabulate(n)(c4Deg)
-    var sumDeg = pdeg.sum // each live C4 counted 4 times
+    val pdeg = Array.tabulate(n)(c4Deg)
+    val sum0 = pdeg.sum // each live C4 counted 4 times
+    new Peel(pdeg) {
+      private var sumDeg = sum0
 
-    runPeel(n, alive, pdeg, sumDeg / 4, onRemove = { v =>
-      val aff = twoHop(g, alive, v)
-      sumDeg -= pdeg(v)
-      aff.foreach { w =>
-        sumDeg -= pdeg(w)
-        pdeg(w) = c4Deg(w)
-        sumDeg += pdeg(w)
+      protected def removed(v: Int): Long = {
+        alive(v) = false
+        sumDeg -= pdeg(v)
+        twoHop(g, alive, v).foreach { w =>
+          val d = c4Deg(w)
+          sumDeg += d - pdeg(w)
+          setDegree(w, d)
+        }
+        sumDeg / 4
       }
-      (sumDeg / 4, aff)
-    })
+    }.run(sum0 / 4)
   }
 
   /** Live vertices within two hops of v (excluding v). */
@@ -101,45 +108,5 @@ object SpecialCores {
       }
     }
     seen.toArray
-  }
-
-  /** Shared peel driver: lazy-deletion min-heap over pattern-degrees.
-    *
-    * `onRemove(v)` is called after `alive(v)` is cleared; it must update the
-    * residual state and `pdeg` of every vertex whose pattern-degree changed,
-    * returning (new μ of the residual graph, changed vertices).
-    */
-  private def runPeel(n: Int,
-                      alive: Array[Boolean],
-                      pdeg: Array[Long],
-                      mu0: Long,
-                      onRemove: Int => (Long, Array[Int])): CliqueCore.Result = {
-    val pq = mutable.PriorityQueue.empty[(Long, Int)](Ordering.by[(Long, Int), Long](_._1).reverse)
-    (0 until n).foreach(v => pq.enqueue((pdeg(v), v)))
-
-    val core  = new Array[Long](n)
-    val order = new Array[Int](n)
-    var k = 0L
-    var remaining   = n
-    var bestDensity = mu0.toDouble / n
-    var bestSuffix  = 0
-    var removed = 0
-    while (removed < n) {
-      var (d0, v) = pq.dequeue()
-      while (!alive(v) || d0 != pdeg(v)) { val t = pq.dequeue(); d0 = t._1; v = t._2 }
-      if (d0 > k) k = d0
-      core(v) = k
-      order(removed) = v
-      alive(v) = false
-      val (mu, changed) = onRemove(v)
-      changed.foreach(w => pq.enqueue((pdeg(w), w)))
-      removed += 1
-      remaining -= 1
-      if (remaining > 0) {
-        val dens = mu.toDouble / remaining
-        if (dens > bestDensity) { bestDensity = dens; bestSuffix = removed }
-      }
-    }
-    CliqueCore.Result(core, order, mu0, bestDensity, bestSuffix)
   }
 }

@@ -1,5 +1,6 @@
 package repro
 
+import repro.core.CliqueCore
 import repro.graph.LocalGraph
 import repro.patterns.Pattern
 import scala.collection.mutable
@@ -53,5 +54,40 @@ object TestUtil {
       }
     }
     keep
+  }
+
+  /** Reference (k, Ψ)-peel, O(n · |instances|): at each step recount every
+    * live vertex's Ψ-degree over the live instances and remove the one with
+    * the smallest (degree, id); an instance dies with its first removed
+    * member.
+    */
+  def referencePeel(n: Int, instances: Array[Array[Int]]): CliqueCore.Result = {
+    val alive       = Array.fill(n)(true)
+    val instAlive   = Array.fill(instances.length)(true)
+    val core        = new Array[Long](n)
+    val order       = new Array[Int](n)
+    var mu          = instances.length.toLong
+    var k           = 0L
+    var bestDensity = if (n == 0) 0.0 else mu.toDouble / n
+    var bestSuffix  = 0
+    for (step <- 0 until n) {
+      val deg = new Array[Long](n)
+      for (i <- instances.indices if instAlive(i); v <- instances(i)) deg(v) += 1
+      val u = (0 until n).filter(alive).minBy(v => (deg(v), v))
+      k = math.max(k, deg(u))
+      core(u) = k
+      order(step) = u
+      alive(u) = false
+      for (i <- instances.indices if instAlive(i) && instances(i).contains(u)) {
+        instAlive(i) = false
+        mu -= 1
+      }
+      val remaining = n - step - 1
+      if (remaining > 0 && mu.toDouble / remaining > bestDensity) {
+        bestDensity = mu.toDouble / remaining
+        bestSuffix = step + 1
+      }
+    }
+    CliqueCore.Result(core, order, instances.length.toLong, bestDensity, bestSuffix)
   }
 }

@@ -118,4 +118,40 @@ class CliqueCoreSpec extends AnyFunSuite {
     // Pruning-1 bound from Example 5: rho' >= 25/12
     assert(dec.bestDensity >= 25.0 / 12 - 1e-9)
   }
+
+  for (seed <- 1 to 6; (p, nm) <- Seq((Pattern.Triangle, "triangle"), (Pattern.Clique(4), "4-clique"),
+                                       (Pattern.Star(2), "2-star"), (Pattern.Diamond, "diamond"))) {
+    test(s"($nm, seed=$seed) peel equals the (degree, id) reference peel exactly") {
+      val g    = TestUtil.randomGraph(14, 0.45, seed)
+      val inst = p.instances(g)
+      val dec  = CliqueCore.decomposeInstances(g.n, inst)
+      val ref  = TestUtil.referencePeel(g.n, inst)
+      assert(dec.core.toSeq == ref.core.toSeq)
+      assert(dec.order.toSeq == ref.order.toSeq)
+      assert(dec.bestSuffix == ref.bestSuffix)
+      assert(dec.bestDensity == ref.bestDensity)
+      assert(dec.totalInstances == ref.totalInstances)
+    }
+  }
+
+  test("decomposeInstances rejects a negative vertex count") {
+    val e = intercept[IllegalArgumentException](CliqueCore.decomposeInstances(-1, Array.empty))
+    assert(e.getMessage.contains("-1"))
+  }
+
+  test("decomposeInstances rejects vertex ids outside [0, n)") {
+    val high = intercept[IllegalArgumentException](
+      CliqueCore.decomposeInstances(4, Array(Array(0, 1, 2), Array(1, 2, 4))))
+    assert(high.getMessage.contains("vertex 4") && high.getMessage.contains("instance 1"))
+    val low = intercept[IllegalArgumentException](CliqueCore.decomposeInstances(4, Array(Array(-3, 1))))
+    assert(low.getMessage.contains("vertex -3"))
+    intercept[IllegalArgumentException](CliqueCore.decomposeInstances(0, Array(Array(0))))
+  }
+
+  test("decomposeInstances rejects an instance that repeats a vertex") {
+    val e = intercept[IllegalArgumentException](
+      CliqueCore.decomposeInstances(5, Array(Array(0, 1, 2), Array(3, 1, 3))))
+    assert(e.getMessage.contains("vertex 3") && e.getMessage.contains("instance 1"))
+  }
 }
+

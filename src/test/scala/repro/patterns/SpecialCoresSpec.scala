@@ -64,4 +64,52 @@ class SpecialCoresSpec extends AnyFunSuite {
     assert(d.totalInstances == 0)
     assert(d.core.forall(_ == 0))
   }
+
+  for (seed <- 1 to 8; x <- Seq(2, 3)) {
+    test(s"$x-star optimized peel order and best suffix equal the generic peel (seed=$seed)") {
+      val g = TestUtil.randomGraph(25, 0.25, seed)
+      val a = SpecialCores.decomposeStar(g, x)
+      val b = CliqueCore.decompose(g, Pattern.Star(x))
+      assert(a.order.toSeq == b.order.toSeq)
+      assert(a.bestSuffix == b.bestSuffix)
+    }
+  }
+
+  for (seed <- 1 to 8) {
+    test(s"diamond optimized peel order and best suffix equal the generic peel (seed=$seed)") {
+      val g = TestUtil.randomGraph(18, 0.35, seed)
+      val a = SpecialCores.decomposeDiamond(g)
+      val b = CliqueCore.decompose(g, Pattern.Diamond)
+      assert(a.order.toSeq == b.order.toSeq)
+      assert(a.bestSuffix == b.bestSuffix)
+    }
+  }
+
+  /** Vertices 0 and 1 are adjacent hubs; each has `leaves` leaves of its own. */
+  private def twoHubs(leaves: Int) =
+    repro.graph.LocalGraph.fromEdges((0L, 1L) +: (0 until 2 * leaves).map(i => ((i % 2).toLong, i + 2L)))
+
+  test("4-star degrees and count saturate instead of wrapping (two hubs, 130k leaves each)") {
+    // C(130001, 4) > Long.MaxValue: each hub's center term saturates, and
+    // adding the other hub's tail term used to wrap negative
+    val g   = twoHubs(130000)
+    val deg = Pattern.Star(4).degrees(g)
+    val hubs = Seq(0L, 1L).map(g.ids.indexOf(_))
+    assert(deg.forall(_ >= 0))
+    assert(hubs.forall(deg(_) == deg.max))
+    assert(Pattern.Star(4).count(g) == Long.MaxValue)
+  }
+
+  test("saturated star degrees keep the hubs in the top core (8-star, two hubs, 900 leaves each)") {
+    // C(901, 8) > Long.MaxValue, the saturation point of the 4-star at a
+    // degree small enough to peel
+    val g    = twoHubs(900)
+    val dec  = SpecialCores.decomposeStar(g, 8)
+    val hubs = Seq(0L, 1L).map(g.ids.indexOf(_))
+    assert(dec.core.forall(_ >= 0))
+    assert(hubs.forall(dec.core(_) == dec.kMax))
+    assert(dec.kMax > 0)
+    assert(dec.totalInstances == Long.MaxValue)
+  }
 }
+
