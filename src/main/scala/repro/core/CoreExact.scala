@@ -14,7 +14,7 @@ import scala.collection.mutable
   *     search runs per connected component with the component-local stopping
   *     criterion (Pruning 3);
   *  3. flow-network nodes pruned by Lemma 8, instances grouped by vertex set
-  *     (construct+, a no-op for cliques);
+  *     (construct+; skipped for cliques, which never share a vertex set);
   *  4. as the lower bound l grows, components shrink to the (⌈l⌉, Ψ)-core,
   *     so later networks get smaller.
   *
@@ -83,8 +83,13 @@ object CoreExact {
     }
     val kPP = math.max(kPrime, ceilL(rhoPP))
 
+    // h-cliques never share a vertex set, so grouping them finds nothing
+    val group: IndexedSeq[Array[Int]] => Array[DensestFlow.Group] = psi match {
+      case _: Pattern.Clique => DensestFlow.ungrouped
+      case _                 => DensestFlow.group
+    }
     val search = new DensitySearch(instances, n, vs => new DensestFlow.Network(
-      vs.length, DensestFlow.pruneLemma8(vs.length, DensestFlow.group(Densest.restrict(instances, n, vs)), h), h), best)
+      vs.length, DensestFlow.pruneLemma8(vs.length, group(Densest.restrict(instances, n, vs)), h), h), best)
     var l = rhoPP
     componentsWithin(g, dec.coreVertices(kPP)).foreach { cc =>
       // shrink to the (⌈l⌉, Ψ)-core if l already exceeds k''

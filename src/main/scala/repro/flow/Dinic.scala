@@ -7,24 +7,42 @@ package repro.flow
   * simple. Capacities here are O(cliqueDegree) with gaps no finer than
   * 1/(n(n-1)) between meaningful α values, far above double round-off.
   *
-  * Arcs live in primitive arrays sized from `arcHint` (doubled when full).
-  * Augmenting paths use an explicit stack, in a recursive current-arc DFS's
-  * order, so depth is not bounded by the call stack. [[reset]] restores the
-  * capacities, so one network serves many max-flow runs.
+  * [[addEdge]] appends to an arc list (sized from `arcHint`, doubled when
+  * full). The first [[reset]], [[maxFlow]] or [[minCutSourceSide]] after an
+  * `addEdge` lays the arcs out in forward-star (CSR) form: node u's arcs,
+  * reverse arcs included, are the contiguous slice `start(u) until
+  * start(u + 1)`, newest first, and `rev` pairs each arc with its reverse.
+  * Residual capacities carry over a re-layout; arc ids stay valid through
+  * a per-arc slot map. Augmenting paths use an explicit stack and enter
+  * only nodes below t's level (or t), so a phase never descends into nodes
+  * at t's level that cannot reach t. [[minCutSourceSide]] reuses the levels
+  * of [[maxFlow]]'s last BFS while nothing has changed since. [[reset]]
+  * restores the capacities, so one network serves many max-flow runs.
   */
 final class Dinic(val n: Int, arcHint: Int = 16) {
   private val EPS = 1e-10
 
-  private val head = Array.fill(n)(-1)
-  private var next = new Array[Int](math.max(2, arcHint * 2))
-  private var to   = new Array[Int](next.length)
-  private var cap  = new Array[Double](next.length)
-  private var base = new Array[Double](next.length)
-  private var m    = 0
+  // the arc list, in addEdge order: arc e is arcTail(e) -> arcHead(e), capacity arcCap(e)
+  private var arcTail = new Array[Int](math.max(1, arcHint))
+  private var arcHead = new Array[Int](arcTail.length)
+  private var arcCap  = new Array[Double](arcTail.length)
+  private var m       = 0
+
+  // the CSR layout of the first `laidOut` arcs and their reverses: arc e is at
+  // slot(e), its reverse at rev(slot(e)); base holds the capacities reset restores
+  private var laidOut = 0
+  private val start   = new Array[Int](n + 1)
+  private var to      = Array.emptyIntArray
+  private var rev     = Array.emptyIntArray
+  private var cap     = Array.emptyDoubleArray
+  private var base    = Array.emptyDoubleArray
+  private var slot    = Array.emptyIntArray
+
   private var nPhases = 0L
+  private var cutFrom = -1 // source whose complete residual BFS `level` holds, or -1
 
   /** Arcs added, not counting reverse arcs. */
-  def arcs: Int = m / 2
+  def arcs: Int = m
 
   /** Augmenting phases (BFS rounds that reached t) over every [[maxFlow]]. */
   def phases: Long = nPhases
@@ -40,89 +58,150 @@ final class Dinic(val n: Int, arcHint: Int = 16) {
   /** Add a directed edge u -> v with capacity c (reverse edge cap 0); returns its arc id. */
   def addEdge(u: Int, v: Int, c: Double): Int = {
     checkNode(u, "tail"); checkNode(v, "head"); checkCap(c)
-    if (m + 2 > next.length) {
-      val len = next.length * 2
-      next = java.util.Arrays.copyOf(next, len); to = java.util.Arrays.copyOf(to, len)
-      cap = java.util.Arrays.copyOf(cap, len); base = java.util.Arrays.copyOf(base, len)
+    if (m == arcTail.length) {
+      val len = m * 2
+      arcTail = java.util.Arrays.copyOf(arcTail, len); arcHead = java.util.Arrays.copyOf(arcHead, len)
+      arcCap = java.util.Arrays.copyOf(arcCap, len)
     }
-    next(m) = head(u); to(m) = v; cap(m) = c; base(m) = c; head(u) = m
-    next(m + 1) = head(v); to(m + 1) = u; head(v) = m + 1
-    m += 2
-    m - 2
+    arcTail(m) = u; arcHead(m) = v; arcCap(m) = c
+    cutFrom = -1
+    m += 1
+    m - 1
   }
 
   /** Set arc e's capacity, effective from the next [[reset]]. */
   def setCapacity(e: Int, c: Double): Unit = {
-    if (e < 0 || e >= m || e % 2 != 0) throw new IllegalArgumentException(s"no arc $e")
+    if (e < 0 || e >= m) throw new IllegalArgumentException(s"no arc $e")
     checkCap(c)
-    base(e) = c
+    arcCap(e) = c
+    if (e < laidOut) base(slot(e)) = c
+    cutFrom = -1
   }
 
   /** Drop all flow: every arc gets back its capacity. */
-  def reset(): Unit = System.arraycopy(base, 0, cap, 0, m)
+  def reset(): Unit = {
+    layout()
+    System.arraycopy(base, 0, cap, 0, 2 * m)
+    cutFrom = -1
+  }
+
+  /** Lay out all arcs in CSR form (a no-op unless edges were added),
+    * keeping the residual capacities of the arcs laid out before. */
+  private def layout(): Unit = if (laidOut < m) {
+    java.util.Arrays.fill(start, 0)
+    var e = 0
+    while (e < m) { start(arcTail(e) + 1) += 1; start(arcHead(e) + 1) += 1; e += 1 }
+    var u = 0
+    while (u < n) { start(u + 1) += start(u); u += 1 }
+    val fill = java.util.Arrays.copyOfRange(start, 1, n + 1) // fills each slice from its end
+    val to2 = new Array[Int](2 * m); val rev2 = new Array[Int](2 * m); val slot2 = new Array[Int](m)
+    val base2 = new Array[Double](2 * m)
+    e = 0
+    while (e < m) {
+      fill(arcTail(e)) -= 1; val p = fill(arcTail(e))
+      fill(arcHead(e)) -= 1; val q = fill(arcHead(e))
+      to2(p) = arcHead(e); to2(q) = arcTail(e); rev2(p) = q; rev2(q) = p; slot2(e) = p
+      base2(p) = arcCap(e)
+      e += 1
+    }
+    val cap2 = base2.clone()
+    e = 0
+    while (e < laidOut) { cap2(slot2(e)) = cap(slot(e)); cap2(rev2(slot2(e))) = cap(rev(slot(e))); e += 1 }
+    to = to2; rev = rev2; slot = slot2; cap = cap2; base = base2
+    laidOut = m
+  }
 
   private val level = new Array[Int](n)
   private val iter  = new Array[Int](n)
   private val queue = new Array[Int](n)
   private val path  = new Array[Int](n)
 
-  /** Residual BFS from s: level(v) >= 0 iff v is reachable. */
-  private def bfs(s: Int): Unit = {
+  /** Residual BFS from s: level(v) >= 0 iff v is reachable. Once t is
+    * reached, nodes at t's level are not expanded. */
+  private def bfs(s: Int, t: Int): Unit = {
     java.util.Arrays.fill(level, -1)
     level(s) = 0; queue(0) = s
     var qh = 0; var qt = 1
-    while (qh < qt) {
+    var stop = Int.MaxValue // t's level, once reached
+    while (qh < qt && level(queue(qh)) < stop) {
       val u = queue(qh); qh += 1
-      var e = head(u)
-      while (e >= 0) {
-        if (cap(e) > EPS && level(to(e)) < 0) { level(to(e)) = level(u) + 1; queue(qt) = to(e); qt += 1 }
-        e = next(e)
+      var e = start(u)
+      val end = start(u + 1)
+      while (e < end) {
+        val w = to(e)
+        if (cap(e) > EPS && level(w) < 0) {
+          level(w) = level(u) + 1; queue(qt) = w; qt += 1
+          if (w == t) stop = level(w)
+        }
+        e += 1
       }
     }
   }
 
-  /** Push flow along one level-graph path; 0 when none is left. */
-  private def augment(s: Int, t: Int): Double = {
+  /** A blocking flow in the level graph; returns its value. After each
+    * augmentation the search resumes at the tail of the first saturated
+    * arc, which finds the same paths as restarting from s. */
+  private def blockingFlow(s: Int, t: Int): Double = {
+    val lt    = level(t)
+    var flow  = 0.0
     var depth = 0
     var u     = s
-    while (u != t) {
-      var e = iter(u)
-      while (e >= 0 && !(cap(e) > EPS && level(to(e)) == level(u) + 1)) { e = next(e); iter(u) = e }
-      if (e >= 0) { path(depth) = e; depth += 1; u = to(e) }
-      else if (depth == 0) return 0.0
-      else { // dead end: back up and skip the arc that led here
-        depth -= 1
-        u = to(path(depth) ^ 1)
-        iter(u) = next(path(depth))
+    var done  = false
+    while (!done) {
+      if (u == t) {
+        var f = Double.MaxValue
+        var i = 0
+        while (i < depth) { f = math.min(f, cap(path(i))); i += 1 }
+        var back = depth
+        while (i > 0) {
+          i -= 1
+          val e = path(i)
+          cap(e) -= f; cap(rev(e)) += f
+          if (!(cap(e) > EPS)) back = i
+        }
+        flow += f
+        depth = back
+        u = if (back == 0) s else to(path(back - 1))
+      } else {
+        val next = level(u) + 1
+        val end  = start(u + 1)
+        var e    = iter(u)
+        while (e < end && !(cap(e) > EPS && level(to(e)) == next && (next < lt || to(e) == t))) e += 1
+        iter(u) = e
+        if (e < end) { path(depth) = e; depth += 1; u = to(e) }
+        else if (depth == 0) done = true
+        else { // dead end: back up and skip the arc that led here
+          depth -= 1
+          u = to(rev(path(depth)))
+          iter(u) += 1
+        }
       }
     }
-    var f = Double.MaxValue
-    var i = 0
-    while (i < depth) { f = math.min(f, cap(path(i))); i += 1 }
-    while (i > 0) { i -= 1; cap(path(i)) -= f; cap(path(i) ^ 1) += f }
-    f
+    flow
   }
 
   /** Run max flow from s to t; returns the flow value. */
   def maxFlow(s: Int, t: Int): Double = {
     checkNode(s, "source"); checkNode(t, "sink")
     if (s == t) throw new IllegalArgumentException(s"source and sink are both $s")
+    layout()
     var flow = 0.0
-    bfs(s)
+    bfs(s, t)
     while (level(t) >= 0) {
       nPhases += 1
-      System.arraycopy(head, 0, iter, 0, n)
-      var f = augment(s, t)
-      while (f > EPS) { flow += f; f = augment(s, t) }
-      bfs(s)
+      System.arraycopy(start, 0, iter, 0, n)
+      flow += blockingFlow(s, t)
+      bfs(s, t)
     }
+    cutFrom = s // t was unreachable, so the last BFS was complete
     flow
   }
 
   /** After maxFlow: the source side S of a minimum st-cut (residual BFS). */
   def minCutSourceSide(s: Int): Array[Boolean] = {
     checkNode(s, "source")
-    bfs(s)
+    layout()
+    if (cutFrom != s) bfs(s, -1)
     Array.tabulate(n)(level(_) >= 0)
   }
 }

@@ -106,71 +106,57 @@ object Pattern {
   case object Diamond extends Pattern("diamond", 4) {
 
     override def instances(g: LocalGraph): Array[Array[Int]] = {
-      val out = mutable.ArrayBuffer.empty[Array[Int]]
-      // Enumerate by diagonal pair (u, v), u < v: every pair {a, b} of common
-      // neighbors closes a 4-cycle u-a-v-b. Each C4 has two diagonals; keep
-      // the occurrence whose diagonal pair is lexicographically smaller.
+      // Each C4 has two diagonals; list it at the one holding its smallest
+      // vertex u: a pair {a, b} of middles of 2-paths u-a-v, all above u.
+      val out   = Array.newBuilder[Array[Int]]
+      val w     = new Wedges(g)
+      val all   = Array.fill(g.n)(true)
+      val at    = new Array[Int](g.n) // endpoint v -> end of its middles in `mids`
+      var mids  = new Array[Int](16)
       var u = 0
       while (u < g.n) {
-        // common neighbors per second diagonal endpoint v > u
-        val common = mutable.HashMap.empty[Int, mutable.ArrayBuilder.ofInt]
-        val nu = g.adj(u)
+        w.around(u, all, u)
+        var total = 0
         var i = 0
-        while (i < nu.length) {
-          val a  = nu(i)
-          val na = g.adj(a)
-          var j = 0
-          while (j < na.length) {
-            val v = na(j)
-            if (v > u && v != u) common.getOrElseUpdate(v, new mutable.ArrayBuilder.ofInt).addOne(a)
-            j += 1
-          }
-          i += 1
+        while (i < w.size) { val v = w.ends(i); at(v) = total; total += w.common(v); i += 1 }
+        if (mids.length < total) mids = new Array[Int](math.max(total, mids.length * 2))
+        val nu = g.adj(u)
+        i = nu.length - 1
+        while (i >= 0 && nu(i) > u) {
+          val na = g.adj(nu(i))
+          var j = na.length - 1
+          while (j >= 0 && na(j) > u) { mids(at(na(j))) = nu(i); at(na(j)) += 1; j -= 1 }
+          i -= 1
         }
-        common.foreach { case (v, cb) =>
-          val cs = cb.result()
-          var x = 0
-          while (x < cs.length) {
+        i = 0
+        while (i < w.size) {
+          val v = w.ends(i)
+          val e = at(v)
+          var x = e - w.common(v)
+          while (x < e) {
             var y = x + 1
-            while (y < cs.length) {
-              val a = math.min(cs(x), cs(y)); val b = math.max(cs(x), cs(y))
-              // diagonal pairs: (u, v) and (a, b); keep if (u, v) < (a, b)
-              if (u < a || (u == a && v < b)) {
-                val inst = Array(u, v, cs(x), cs(y))
-                java.util.Arrays.sort(inst)
-                out += inst
-              }
+            while (y < e) {
+              val inst = Array(u, v, mids(x), mids(y))
+              java.util.Arrays.sort(inst)
+              out += inst
               y += 1
             }
             x += 1
           }
+          i += 1
         }
         u += 1
       }
-      out.toArray
+      out.result()
     }
 
     /** Closed-form C4 degree: Σ_{u≠v} C(|N(v) ∩ N(u)|, 2) over all 2-hop
       * (and adjacent) endpoints u (Appendix D.2).
       */
     override def degrees(g: LocalGraph): Array[Long] = {
-      Array.tabulate(g.n) { v =>
-        val paths = mutable.HashMap.empty[Int, Int]
-        val nv = g.adj(v)
-        var i = 0
-        while (i < nv.length) {
-          val a  = nv(i)
-          val na = g.adj(a)
-          var j = 0
-          while (j < na.length) {
-            val u = na(j)
-            if (u != v) paths.update(u, paths.getOrElse(u, 0) + 1)
-            j += 1
-          }
-          i += 1
-        }
-        paths.valuesIterator.foldLeft(0L)((acc, c) => acc + Combinatorics.choose(c, 2))
-      }
+      val w   = new Wedges(g)
+      val all = Array.fill(g.n)(true)
+      Array.tabulate(g.n) { v => w.around(v, all, -1); w.cycles }
     }
 
     override def count(g: LocalGraph): Long = degrees(g).sum / 4

@@ -2,7 +2,6 @@ package repro.patterns
 
 import repro.core.{CliqueCore, Peel}
 import repro.graph.LocalGraph
-import scala.collection.mutable
 
 /** Appendix-D optimized (k, Ψ)-core decompositions for special patterns.
   *
@@ -41,6 +40,8 @@ object SpecialCores {
     }
 
     val mu0 = Pattern.Star(x).count(g) // Σ_v C(deg(v), x): one instance per (center, tail-set)
+    val w   = new Wedges(g)
+    val aff = new Array[Int](n)
     new Peel(Array.tabulate(n)(starDeg)) {
       private var mu = mu0
 
@@ -50,7 +51,7 @@ object SpecialCores {
 
       protected def removed(v: Int): Long = {
         alive(v) = false
-        val aff = twoHop(g, alive, v)
+        val k = w.twoHop(v, alive, aff)
         replaceTerm(Combinatorics.choose(deg(v), x), 0L)
         g.adj(v).foreach { u =>
           if (alive(u)) {
@@ -58,7 +59,8 @@ object SpecialCores {
             deg(u) -= 1
           }
         }
-        aff.foreach(w => setDegree(w, starDeg(w)))
+        var i = 0
+        while (i < k) { setDegree(aff(i), starDeg(aff(i))); i += 1 }
         mu
       }
     }.run(mu0)
@@ -68,45 +70,30 @@ object SpecialCores {
   def decomposeDiamond(g: LocalGraph): CliqueCore.Result = {
     val n     = g.n
     val alive = Array.fill(n)(true)
+    val w     = new Wedges(g)
 
-    def c4Deg(v: Int): Long = {
-      // Σ over live 2-path endpoints u of C(#live common neighbors, 2)
-      val paths = mutable.HashMap.empty[Int, Int]
-      g.adj(v).foreach { a =>
-        if (alive(a)) g.adj(a).foreach { u =>
-          if (u != v && alive(u)) paths.update(u, paths.getOrElse(u, 0) + 1)
-        }
-      }
-      paths.valuesIterator.foldLeft(0L)((acc, c) => acc + Combinatorics.choose(c, 2))
-    }
+    // Σ over live 2-path endpoints u of C(#live common neighbors, 2)
+    def c4Deg(v: Int): Long = { w.around(v, alive, -1); w.cycles }
 
     val pdeg = Array.tabulate(n)(c4Deg)
     val sum0 = pdeg.sum // each live C4 counted 4 times
+    val aff  = new Array[Int](n)
     new Peel(pdeg) {
       private var sumDeg = sum0
 
       protected def removed(v: Int): Long = {
         alive(v) = false
         sumDeg -= pdeg(v)
-        twoHop(g, alive, v).foreach { w =>
-          val d = c4Deg(w)
-          sumDeg += d - pdeg(w)
-          setDegree(w, d)
+        val k = w.twoHop(v, alive, aff)
+        var i = 0
+        while (i < k) {
+          val d = c4Deg(aff(i))
+          sumDeg += d - pdeg(aff(i))
+          setDegree(aff(i), d)
+          i += 1
         }
         sumDeg / 4
       }
     }.run(sum0 / 4)
-  }
-
-  /** Live vertices within two hops of v (excluding v). */
-  private def twoHop(g: LocalGraph, alive: Array[Boolean], v: Int): Array[Int] = {
-    val seen = mutable.HashSet.empty[Int]
-    g.adj(v).foreach { a =>
-      if (alive(a)) {
-        seen += a
-        g.adj(a).foreach(u => if (u != v && alive(u)) seen += u)
-      }
-    }
-    seen.toArray
   }
 }

@@ -1,0 +1,74 @@
+package repro.patterns
+
+import repro.graph.LocalGraph
+
+/** The one C4 (diamond) kernel: wedge counting around a center vertex, as
+  * in Chiba & Nishizeki's (1985) 4-cycle listing. [[around]] counts, for
+  * every endpoint u of a live 2-path v–a–u, the live middles a, in a reused
+  * `Int` array with a list of the endpoints it touched: no boxing and no
+  * hash maps. Each C4 through v is a pair of middles of one endpoint, so
+  * v's C4 degree is Σ_u C(common(u), 2) ([[cycles]]).
+  */
+private[patterns] final class Wedges(g: LocalGraph) {
+
+  /** common(u): live middles between the last center and u; 0 for u not in [[ends]]. */
+  val common = new Array[Int](g.n)
+
+  /** The endpoints with common(u) > 0, in first-touch order: `ends(0 until size)`. */
+  val ends = new Array[Int](g.n)
+  private var touched = 0
+
+  def size: Int = touched
+
+  /** Count the live 2-paths v–a–u with a > `above`, u > `above` and u ≠ v.
+    * The liveness of v itself is not checked. Adjacency lists are sorted,
+    * so each is read from its end down to `above`. */
+  def around(v: Int, alive: Array[Boolean], above: Int): Unit = {
+    var i = 0
+    while (i < touched) { common(ends(i)) = 0; i += 1 }
+    touched = 0
+    val nv = g.adj(v)
+    i = nv.length - 1
+    while (i >= 0 && nv(i) > above) {
+      val a = nv(i)
+      if (alive(a)) {
+        val na = g.adj(a)
+        var j = na.length - 1
+        while (j >= 0 && na(j) > above) {
+          val u = na(j)
+          if (u != v && alive(u)) {
+            if (common(u) == 0) { ends(touched) = u; touched += 1 }
+            common(u) += 1
+          }
+          j -= 1
+        }
+      }
+      i -= 1
+    }
+  }
+
+  /** Σ_u C(common(u), 2) over the last [[around]]'s endpoints. */
+  def cycles: Long = {
+    var t = 0L
+    var i = 0
+    while (i < size) { val c = common(ends(i)).toLong; t += c * (c - 1) / 2; i += 1 }
+    t
+  }
+
+  /** The live vertices within two hops of v (v excluded) into `out`;
+    * returns how many. The counts of [[around]] mark the 2-path endpoints,
+    * so each vertex is listed once. */
+  def twoHop(v: Int, alive: Array[Boolean], out: Array[Int]): Int = {
+    around(v, alive, -1)
+    System.arraycopy(ends, 0, out, 0, size)
+    var k  = size
+    val nv = g.adj(v)
+    var i  = 0
+    while (i < nv.length) {
+      val a = nv(i)
+      if (alive(a) && common(a) == 0) { out(k) = a; k += 1 }
+      i += 1
+    }
+    k
+  }
+}

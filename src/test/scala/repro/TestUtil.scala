@@ -90,4 +90,21 @@ object TestUtil {
     }
     CliqueCore.Result(core, order, instances.length.toLong, bestDensity, bestSuffix)
   }
+
+  /** Reference diamond (C4) instances, O(n² · d log d): for every vertex pair
+    * {u, v}, each pair {a, b} of common neighbors closes the cycle u-a-v-b;
+    * a cycle is found from both of its diagonals and kept once per edge set.
+    */
+  def naiveDiamonds(g: LocalGraph): Array[Array[Int]] = {
+    val seen = mutable.HashMap.empty[Set[(Int, Int)], Array[Int]]
+    def e(x: Int, y: Int) = (math.min(x, y), math.max(x, y))
+    for (u <- 0 until g.n; v <- (u + 1) until g.n) {
+      val cs = g.adj(u).filter(g.hasEdge(v, _))
+      for (i <- cs.indices; j <- (i + 1) until cs.length) {
+        val (a, b) = (cs(i), cs(j))
+        seen.getOrElseUpdate(Set(e(u, a), e(a, v), e(v, b), e(b, u)), Array(u, v, a, b).sorted)
+      }
+    }
+    seen.values.toArray
+  }
 }

@@ -141,4 +141,104 @@ class DinicSpec extends AnyFunSuite {
     d.reset()
     assert(d.maxFlow(0, 3) == 3.0)
   }
+
+  /** Random arcs with half-integer capacities, so every flow is exact. */
+  private def randomArcs(n: Int, p: Double, seed: Long): IndexedSeq[(Int, Int, Double)] = {
+    val rnd = new Random(seed)
+    for {
+      u <- 0 until n; v <- 0 until n
+      if u != v && rnd.nextDouble() < p
+    } yield (u, v, math.rint(rnd.nextDouble() * 10) / 2.0)
+  }
+
+  private def network(n: Int, arcs: Seq[(Int, Int, Double)]): Dinic = {
+    val d = new Dinic(n)
+    arcs.foreach { case (u, v, c) => d.addEdge(u, v, c) }
+    d
+  }
+
+  for (seed <- 1 to 20; (n, p) <- Seq((7, 0.4), (40, 0.12))) {
+    test(s"arcs added in a shuffled order give the same flow and cut (n=$n, seed=$seed)") {
+      val arcs = randomArcs(n, p, seed)
+      val a = network(n, arcs)
+      val b = network(n, new Random(seed + 100).shuffle(arcs))
+      val f = a.maxFlow(0, n - 1)
+      assert(math.abs(f - b.maxFlow(0, n - 1)) < 1e-9)
+      if (n <= 7) assert(math.abs(f - bruteMinCut(n, arcs, 0, n - 1)) < 1e-9)
+      assert(a.minCutSourceSide(0).toSeq == b.minCutSourceSide(0).toSeq)
+    }
+  }
+
+  for (seed <- 1 to 5) {
+    test(s"addEdge after maxFlow, then reset and maxFlow, equals a fresh network (seed=$seed)") {
+      val n    = 30
+      val arcs = randomArcs(n, 0.1, seed)
+      val more = randomArcs(n, 0.05, seed + 50)
+      val d    = network(n, arcs)
+      d.maxFlow(0, n - 1)
+      more.foreach { case (u, v, c) => d.addEdge(u, v, c) }
+      d.reset()
+      val fresh = network(n, arcs ++ more)
+      assert(math.abs(d.maxFlow(0, n - 1) - fresh.maxFlow(0, n - 1)) < 1e-9)
+      assert(d.minCutSourceSide(0).toSeq == fresh.minCutSourceSide(0).toSeq)
+      assert(d.arcs == fresh.arcs)
+    }
+  }
+
+  test("addEdge after maxFlow without reset keeps the flow and augments from it") {
+    val d = new Dinic(4)
+    d.addEdge(0, 1, 3.0); d.addEdge(1, 3, 2.0)
+    assert(d.maxFlow(0, 3) == 2.0)
+    d.addEdge(0, 2, 4.0); d.addEdge(2, 3, 5.0)
+    assert(d.maxFlow(0, 3) == 4.0) // only the new path: 2 + 4 in all
+    d.reset()
+    assert(d.maxFlow(0, 3) == 6.0)
+  }
+
+  test("arc ids returned before the layout still address the same arc through setCapacity") {
+    val n    = 25
+    val arcs = randomArcs(n, 0.15, 7)
+    val rnd  = new Random(8)
+    val d    = new Dinic(n)
+    val ids  = arcs.map { case (u, v, c) => d.addEdge(u, v, c) }
+    d.maxFlow(0, n - 1) // lays the arcs out
+    val more = randomArcs(n, 0.05, 9)
+    more.foreach { case (u, v, c) => d.addEdge(u, v, c) } // and again on the next reset
+    val caps = arcs.map(_ => math.rint(rnd.nextDouble() * 10) / 2.0)
+    ids.zip(caps).foreach { case (e, c) => d.setCapacity(e, c) }
+    d.reset()
+    val fresh = network(n, arcs.zip(caps).map { case ((u, v, _), c) => (u, v, c) } ++ more)
+    assert(math.abs(d.maxFlow(0, n - 1) - fresh.maxFlow(0, n - 1)) < 1e-9)
+    assert(d.minCutSourceSide(0).toSeq == fresh.minCutSourceSide(0).toSeq)
+  }
+
+  for (seed <- 1 to 10) {
+    test(s"minCutSourceSide from maxFlow's last BFS equals a fresh BFS (seed=$seed)") {
+      val n    = 30
+      val arcs = randomArcs(n, 0.12, seed)
+      val a    = network(n, arcs)
+      val b    = network(n, arcs)
+      a.maxFlow(0, n - 1); b.maxFlow(0, n - 1)
+      b.setCapacity(0, arcs.head._3) // same capacity, but the levels are no longer trusted
+      assert(a.minCutSourceSide(0).toSeq == b.minCutSourceSide(0).toSeq)
+    }
+  }
+
+  test("minCutSourceSide searches again after reset, setCapacity, addEdge or another source") {
+    // 0 -> 1 -> 2 -> 3 with the cut at 1 -> 2; 2 -> 4 hangs off the sink side
+    val d = new Dinic(5)
+    d.addEdge(0, 1, 5.0); val mid = d.addEdge(1, 2, 1.0); d.addEdge(2, 3, 5.0); d.addEdge(2, 4, 1.0)
+    assert(d.maxFlow(0, 3) == 1.0)
+    assert(d.minCutSourceSide(0).toSeq == Seq(true, true, false, false, false))
+    // from source 2, not maxFlow's source: 2 reaches 1 and 0 back along the flow
+    assert(d.minCutSourceSide(2).toSeq == Seq(true, true, true, true, true))
+    d.reset() // no flow: all of 0's reach is on the source side
+    assert(d.minCutSourceSide(0).toSeq == Seq(true, true, true, true, true))
+    assert(d.maxFlow(0, 3) == 1.0)
+    d.setCapacity(mid, 2.0) // not effective before reset: the residual is unchanged
+    assert(d.minCutSourceSide(0).toSeq == Seq(true, true, false, false, false))
+    assert(d.maxFlow(0, 3) == 0.0)
+    d.addEdge(1, 4, 1.0) // a new residual arc out of the source side
+    assert(d.minCutSourceSide(0).toSeq == Seq(true, true, false, false, true))
+  }
 }

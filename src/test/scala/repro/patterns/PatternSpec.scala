@@ -2,6 +2,7 @@ package repro.patterns
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestUtil
+import repro.data.SynthGraphs
 import repro.graph.LocalGraph
 import repro.patterns.Combinatorics.choose
 
@@ -139,5 +140,30 @@ class PatternSpec extends AnyFunSuite {
     named.foreach(p => assert(p.count(empty) == 0, p.name))
     val single = LocalGraph.fromEdges(Seq((0L, 1L)))
     named.foreach(p => assert(p.count(single) == 0, p.name))
+  }
+
+  private def instanceDegrees(g: LocalGraph, inst: Array[Array[Int]]): Seq[Long] = {
+    val d = new Array[Long](g.n)
+    inst.foreach(_.foreach(v => d(v) += 1))
+    d.toSeq
+  }
+
+  test("diamond on K_{2,50}: C(50, 2) instances, degrees equal the closed form") {
+    // sides {0, 1} and {2, ..., 51}: every C4 is 0 and 1 with two of the 50
+    val g    = LocalGraph.fromEdges(for (a <- 0L to 1L; b <- 2L to 51L) yield (a, b))
+    val inst = Pattern.Diamond.instances(g)
+    assert(inst.length == choose(50, 2))
+    assert(instanceDegrees(g, inst) == Pattern.Diamond.degrees(g).toSeq)
+  }
+
+  for (seed <- 1 to 6) {
+    test(s"diamond on a power-law graph with a planted clique equals the naive reference (seed=$seed)") {
+      val g    = SynthGraphs.plantClique(SynthGraphs.powerLaw(300, 900, 2.5, seed), 12, seed)
+      val inst = Pattern.Diamond.instances(g)
+      assert(instanceDegrees(g, inst) == Pattern.Diamond.degrees(g).toSeq)
+      val ref = TestUtil.naiveDiamonds(g)
+      assert(inst.length == ref.length)
+      assert(inst.map(_.mkString(",")).sorted.sameElements(ref.map(_.mkString(",")).sorted))
+    }
   }
 }

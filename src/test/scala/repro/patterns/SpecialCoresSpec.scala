@@ -111,5 +111,20 @@ class SpecialCoresSpec extends AnyFunSuite {
     assert(dec.kMax > 0)
     assert(dec.totalInstances == Long.MaxValue)
   }
-}
 
+  test("diamond optimized peel equals the generic peel on a hub-heavy graph") {
+    // three hubs, each adjacent to most of 80 vertices, over sparse noise:
+    // a hub's removal changes the C4 degree of nearly every vertex
+    val rnd   = new scala.util.Random(5)
+    val edges = for (u <- 0 until 80; v <- (u + 1) until 80
+                     if rnd.nextDouble() < (if (u < 3) 0.7 else 0.04)) yield (u.toLong, v.toLong)
+    val g = repro.graph.LocalGraph.fromEdges(edges, 0L until 80L)
+    val a = SpecialCores.decomposeDiamond(g)
+    val b = CliqueCore.decompose(g, Pattern.Diamond)
+    assert(a.core.toSeq == b.core.toSeq)
+    assert(a.order.toSeq == b.order.toSeq)
+    assert(a.bestSuffix == b.bestSuffix)
+    assert(a.totalInstances == b.totalInstances)
+    assert(a.kMax > 0)
+  }
+}
