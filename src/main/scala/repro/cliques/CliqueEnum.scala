@@ -28,7 +28,13 @@ object CliqueEnum {
     }
     val rank = KCore.decompose(g).rank
     // out-neighbors (higher rank), sorted by vertex id for merge-intersection
-    val out = Array.tabulate(n)(v => g.adj(v).filter(u => rank(u) > rank(v)))
+    val out = Array.tabulate(n) { v =>
+      val o   = new mutable.ArrayBuilder.ofInt
+      val adj = g.adj(v)
+      var i   = 0
+      while (i < adj.length) { if (rank(adj(i)) > rank(v)) o.addOne(adj(i)); i += 1 }
+      o.result()
+    }
     val clique = new Array[Int](h)
     val emit   = new Array[Int](h)
 
@@ -45,8 +51,15 @@ object CliqueEnum {
 
     def rec(depth: Int, cand: Array[Int]): Unit = {
       if (depth == h) {
-        System.arraycopy(clique, 0, emit, 0, h)
-        java.util.Arrays.sort(emit)
+        // insertion sort: h is small
+        var i = 0
+        while (i < h) {
+          val x = clique(i)
+          var j = i
+          while (j > 0 && emit(j - 1) > x) { emit(j) = emit(j - 1); j -= 1 }
+          emit(j) = x
+          i += 1
+        }
         f(emit)
       } else if (cand.length >= h - depth) {
         var i = 0

@@ -88,24 +88,36 @@ object CoreExact {
       case _: Pattern.Clique => DensestFlow.ungrouped
       case _                 => DensestFlow.group
     }
-    val search = new DensitySearch(instances, n, vs => new DensestFlow.Network(
-      vs.length, DensestFlow.pruneLemma8(vs.length, group(Densest.restrict(instances, n, vs)), h), h), best)
+    // Pruning 3: one pass gives each sorted component its own instance list
+    val comps  = componentsWithin(g, dec.coreVertices(kPP))
+    val parts  = Densest.partition(instances, n, comps)
+    val search = new DensitySearch((nv, local) => new DensestFlow.Network(
+      nv, DensestFlow.pruneLemma8(nv, group(local), h), h), best)
+    // positions in vs of the vertices of the (k, Ψ)-core
+    def inCore(vs: Array[Int], k: Long): Array[Int] =
+      java.util.stream.IntStream.range(0, vs.length).filter(i => core(vs(i)) >= k).toArray
     var l = rhoPP
-    componentsWithin(g, dec.coreVertices(kPP)).foreach { cc =>
+    comps.indices.foreach { c =>
+      val cc = comps(c)
       // shrink to the (⌈l⌉, Ψ)-core if l already exceeds k''
-      val cv = if (ceilL(l) > kPP) cc.filter(v => core(v) >= ceilL(l)) else cc
+      val (cv, local) =
+        if (ceilL(l) <= kPP) (cc, parts(c))
+        else {
+          val keep = inCore(cc, ceilL(l))
+          (keep.map(cc), Densest.restrict(parts(c), cc.length, keep))
+        }
       if (cv.length >= h) {
-        search.on(cv)
+        search.on(cv, local)
         // feasibility at the current lower bound (Algorithm 4 lines 7-10)
         search.probe(l).foreach { first =>
           var shrinkK = math.max(kPP, ceilL(l))
           l = search.bisect(first.density, kMax.toDouble, (lo, vs) =>
             // Optimization 4: locate the CDS in a higher core as l grows.
-            if (ceilL(lo) <= shrinkK) vs
+            if (ceilL(lo) <= shrinkK) vs.indices.toArray
             else {
               shrinkK = ceilL(lo)
-              val nv = vs.filter(v => core(v) >= shrinkK)
-              if (nv.length < h) Array.emptyIntArray else nv
+              val keep = inCore(vs, shrinkK)
+              if (keep.length < h) Array.emptyIntArray else keep
             })
         }
       }
@@ -114,7 +126,8 @@ object CoreExact {
                         search.arcCounts.result(), search.phases))
   }
 
-  /** Connected components restricted to `subset`, returned in g-local ids. */
+  /** Connected components restricted to `subset`, each a sorted array of
+    * g-local ids. */
   def componentsWithin(g: LocalGraph, subset: Array[Int]): Seq[Array[Int]] = {
     val inSet = new Array[Boolean](g.n)
     subset.foreach(inSet(_) = true)
@@ -132,7 +145,9 @@ object CoreExact {
             if (inSet(w) && !seen(w)) { seen(w) = true; stack.append(w) }
           }
         }
-        out += comp.result()
+        val c = comp.result()
+        java.util.Arrays.sort(c)
+        out += c
       }
     }
     out.toSeq

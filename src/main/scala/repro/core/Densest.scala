@@ -20,40 +20,73 @@ object Densest {
     * vertices all lie in S (correct for both cliques and non-induced pattern
     * instances — every edge of the instance is present in the induced graph).
     */
-  def countWithin(instances: Array[Array[Int]], n: Int, s: Iterable[Int]): Long = {
+  def countWithin(instances: Array[Array[Int]], n: Int, s: Array[Int]): Long = {
     val mask = new Array[Boolean](n)
-    s.foreach(mask(_) = true)
+    var i = 0
+    while (i < s.length) { mask(s(i)) = true; i += 1 }
     countWithinMask(instances, mask)
   }
 
   def countWithinMask(instances: Array[Array[Int]], mask: Array[Boolean]): Long = {
     var c = 0L
-    instances.foreach { inst =>
-      var ok = true
-      var i  = 0
-      while (ok && i < inst.length) { ok = mask(inst(i)); i += 1 }
-      if (ok) c += 1
+    var k = 0
+    while (k < instances.length) {
+      val inst = instances(k)
+      var i = 0
+      while (i < inst.length && mask(inst(i))) i += 1
+      if (i == inst.length) c += 1
+      k += 1
     }
     c
   }
 
-  /** The instances inside `vs`, renumbered to sorted positions in `vs`. */
-  def restrict(instances: Array[Array[Int]], n: Int, vs: Array[Int]): Array[Array[Int]] = {
-    val pos = Array.fill(n)(-1)
-    var i = 0
-    while (i < vs.length) { pos(vs(i)) = i; i += 1 }
-    val out = Array.newBuilder[Array[Int]]
-    instances.foreach { inst =>
-      var j = 0
-      while (j < inst.length && pos(inst(j)) >= 0) j += 1
-      if (j == inst.length) {
-        val a = new Array[Int](j)
-        while (j > 0) { j -= 1; a(j) = pos(inst(j)) }
-        java.util.Arrays.sort(a)
-        out += a
+  /** The instances inside `vs`, renumbered to positions in `vs` and sorted. */
+  def restrict(instances: Array[Array[Int]], n: Int, vs: Array[Int]): Array[Array[Int]] =
+    partition(instances, n, Seq(vs))(0)
+
+  /** One pass over the instances for disjoint vertex sets `parts`: part p
+    * gets the instances whose vertices all lie in parts(p), in input order,
+    * renumbered to positions in parts(p) and sorted. An instance that the
+    * renumbering leaves in order (a clique, when parts(p) is sorted) is not
+    * sorted again.
+    */
+  def partition(instances: Array[Array[Int]], n: Int, parts: Seq[Array[Int]]): Array[Array[Array[Int]]] = {
+    val part = Array.fill(n)(-1)
+    val pos  = new Array[Int](n)
+    val out  = Array.fill(parts.length)(Array.newBuilder[Array[Int]])
+    var p = 0
+    parts.foreach { vs =>
+      var i = 0
+      while (i < vs.length) {
+        val v = vs(i)
+        if (v < 0 || v >= n) throw new IllegalArgumentException(s"part vertex $v is outside [0, $n)")
+        if (part(v) >= 0) throw new IllegalArgumentException(s"vertex $v is in parts ${part(v)} and $p")
+        part(v) = p; pos(v) = i
+        i += 1
       }
+      p += 1
     }
-    out.result()
+    var k = 0
+    while (k < instances.length) {
+      val inst = instances(k)
+      p = if (inst.isEmpty) -1 else part(inst(0))
+      var j = 1
+      while (p >= 0 && j < inst.length && part(inst(j)) == p) j += 1
+      if (p >= 0 && j == inst.length) {
+        val a = new Array[Int](j)
+        var sorted = true
+        j = 0
+        while (j < a.length) {
+          a(j) = pos(inst(j))
+          if (j > 0 && a(j) < a(j - 1)) sorted = false
+          j += 1
+        }
+        if (!sorted) java.util.Arrays.sort(a)
+        out(p) += a
+      }
+      k += 1
+    }
+    out.map(_.result())
   }
 
   /** Build a Subgraph record for vertex set `s` of a graph with n vertices. */

@@ -5,20 +5,26 @@ import repro.flow.DensestFlow
 /** The binary search on the density guess α of [[Exact]] (Algorithm 1),
   * [[CoreExact]] (Algorithm 4, per component) and [[QueryDensest]] (Section
   * 6.3), on one network over `verts` (input-graph ids) reused until they
-  * change. A probe at α succeeds when the min cut's source side is denser
-  * than α, which raises l to that density. `best`: densest subgraph seen. */
-private[core] final class DensitySearch(instances: Array[Array[Int]], n: Int,
-                                        network: Array[Int] => DensestFlow.Network,
+  * change. The search reads only the instances inside `verts`, renumbered to
+  * positions in `verts`: `network(|verts|, local)` builds the network from
+  * them, and a probe counts μ of its source side in them. A probe at α
+  * succeeds when the min cut's source side is denser than α, which raises l
+  * to that density. `best`: densest subgraph seen. */
+private[core] final class DensitySearch(network: (Int, Array[Array[Int]]) => DensestFlow.Network,
                                         var best: Subgraph) {
   private var verts = Array.emptyIntArray
+  private var local = Array.empty[Array[Int]]
   private var net: DensestFlow.Network = _
   var probes = 0
   var phases = 0L
   val nodeCounts = Vector.newBuilder[Int]
   val arcCounts  = Vector.newBuilder[Long]
 
-  /** Search on `vs` from now on, with a network built for it. */
-  def on(vs: Array[Int]): Unit = { verts = vs; net = network(vs) }
+  /** Search on `vs` from now on, whose instances, renumbered to positions in
+    * `vs`, are `local`; builds the network for them. */
+  def on(vs: Array[Int], local: Array[Array[Int]]): Unit = {
+    verts = vs; this.local = local; net = network(vs.length, local)
+  }
 
   /** One min-cut probe at α: the source side, if it is denser than α. */
   def probe(alpha: Double): Option[Subgraph] = {
@@ -29,17 +35,18 @@ private[core] final class DensitySearch(instances: Array[Array[Int]], n: Int,
     val s       = net.denserThan(alpha)
     phases += net.dinic.phases - phases0
     if (s.isEmpty) return None
-    val cand = Densest.subgraphOf(instances, n, s.map(verts))
+    val mu   = Densest.countWithin(local, verts.length, s)
+    val cand = Subgraph(s.map(verts), mu, mu.toDouble / s.length)
     if (cand.density > best.density) best = cand
     Some(cand).filter(_.density > alpha)
   }
 
   /** Halve [l, u) until it is narrower than 1/(|verts|(|verts|−1)); returns
     * the final lower bound. After each success `shrink(l, verts)` gives the
-    * subset of `verts` to go on with: a smaller one rebuilds the network, an
-    * empty one ends the search.
+    * positions in `verts` to go on with, ascending: fewer rebuild the network
+    * on their own instances, none ends the search.
     */
-  def bisect(l0: Double, u0: Double, shrink: (Double, Array[Int]) => Array[Int] = (_, vs) => vs): Double = {
+  def bisect(l0: Double, u0: Double, shrink: (Double, Array[Int]) => Array[Int] = (_, vs) => vs.indices.toArray): Double = {
     var l = l0
     var u = u0
     while (verts.nonEmpty && u - l >= 1.0 / (verts.length.toLong * math.max(1L, verts.length - 1L))) {
@@ -48,8 +55,9 @@ private[core] final class DensitySearch(instances: Array[Array[Int]], n: Int,
         case None => u = alpha
         case Some(c) =>
           l = c.density
-          val vs = shrink(l, verts)
-          if (vs.isEmpty) verts = vs else if (vs.length != verts.length) on(vs)
+          val keep = shrink(l, verts)
+          if (keep.isEmpty) verts = keep
+          else if (keep.length != verts.length) on(keep.map(verts), Densest.restrict(local, verts.length, keep))
       }
     }
     l

@@ -22,15 +22,15 @@ object Exact {
     val instances = psi.instances(g)
     if (instances.isEmpty) return Subgraph(Array(0), 0L, 0.0)
     val h = psi.numVertices
-    val groups = if (grouped) DensestFlow.group(instances) else DensestFlow.ungrouped(instances)
     val deg = new Array[Long](n)
     instances.foreach(_.foreach(v => deg(v) += 1))
     val all = (0 until n).toArray
     // seed with the whole graph so the result is defined even if every probe
     // at α >= ρ_opt fails (possible when ρ_opt = μ/n, i.e. G is its own CDS)
-    val search = new DensitySearch(instances, n, _ => new DensestFlow.Network(n, groups, h),
+    val search = new DensitySearch((nv, local) => new DensestFlow.Network(
+      nv, if (grouped) DensestFlow.group(local) else DensestFlow.ungrouped(local), h),
       Subgraph(all, instances.length.toLong, instances.length.toDouble / n))
-    search.on(all)
+    search.on(all, instances)
     search.bisect(0.0, deg.max.toDouble)
     search.best
   }

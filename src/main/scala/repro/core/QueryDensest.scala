@@ -30,11 +30,11 @@ object QueryDensest {
     // candidate vertex set: the localization core plus Q itself
     val cand   = (dec.coreVertices(kLoc).toSet ++ query).toArray.sorted
     val pinned = query.toArray.map(java.util.Arrays.binarySearch(cand, _))
+    val local  = Densest.restrict(instances, n, cand)
     // seed: the smallest core containing Q is itself a Q-containing candidate
-    val search = new DensitySearch(instances, n, vs => new DensestFlow.Network(
-      vs.length, DensestFlow.group(Densest.restrict(instances, n, vs)), h, pinned),
-      Densest.subgraphOf(instances, n, cand))
-    search.on(cand)
+    val search = new DensitySearch((nv, inst) => new DensestFlow.Network(nv, DensestFlow.group(inst), h, pinned),
+      Subgraph(cand, local.length.toLong, local.length.toDouble / cand.length))
+    search.on(cand, local)
     search.bisect(math.max(x.toDouble / h, search.best.density), dec.kMax.toDouble)
     // the result must contain Q: every probe's source side and the seed do
     search.best

@@ -60,9 +60,13 @@ object DensestFlow {
     if (nVerts <= h) return groups
     val deg = new Array[Long](nVerts)
     var mu  = 0L
-    groups.foreach { g =>
+    var k   = 0
+    while (k < groups.length) {
+      val g = groups(k)
+      var i = 0
+      while (i < g.verts.length) { deg(g.verts(i)) += g.mult; i += 1 }
       mu += g.mult
-      g.verts.foreach(v => deg(v) += g.mult)
+      k += 1
     }
     val rho = mu.toDouble / nVerts
     groups.filter { g =>
@@ -78,7 +82,7 @@ object DensestFlow {
     * sets it up for one guess α. Node layout: s = 0, vertices 1..nVerts,
     * groups nVerts+1.., t = last. Arcs: s→v (deg(v, Ψ), only for vertices in
     * some group or pinned), v→t (α·h) for every vertex, and per group member
-    * u→g (|g|) and g→u (|g|·(h−1)).
+    * u→g (|g|) and g→u (|g|·(h−1)), added as one arc pair.
     *
     * @param pinned vertices kept on the source side of every cut (repeats allowed)
     */
@@ -104,7 +108,7 @@ object DensestFlow {
 
     val s = 0
     val t = nVerts + groups.length + 1
-    val dinic = new Dinic(t + 1, (2L * nVerts + 2L * members).min(Int.MaxValue / 2).toInt)
+    val dinic = new Dinic(t + 1, (2L * nVerts + members).min(Int.MaxValue / 2).toInt)
     private val sinkArc = new Array[Int](nVerts)
     private val pinArcs = {
       val b = Array.newBuilder[Int]
@@ -119,8 +123,7 @@ object DensestFlow {
       val g = groups(gi)
       var i = 0
       while (i < g.verts.length) {
-        dinic.addEdge(g.verts(i) + 1, nVerts + 1 + gi, g.mult.toDouble)
-        dinic.addEdge(nVerts + 1 + gi, g.verts(i) + 1, g.mult.toDouble * (h - 1))
+        dinic.addEdge(g.verts(i) + 1, nVerts + 1 + gi, g.mult.toDouble, g.mult.toDouble * (h - 1))
         i += 1
       }
     }

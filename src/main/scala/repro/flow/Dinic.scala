@@ -12,6 +12,8 @@ package repro.flow
   * `addEdge` lays the arcs out in forward-star (CSR) form: node u's arcs,
   * reverse arcs included, are the contiguous slice `start(u) until
   * start(u + 1)`, newest first, and `rev` pairs each arc with its reverse.
+  * An arc's reverse has capacity 0 unless `addEdge` gives it one, so a pair
+  * of opposite arcs can share two slots instead of taking four.
   * Residual capacities carry over a re-layout; arc ids stay valid through
   * a per-arc slot map. Augmenting paths use an explicit stack and enter
   * only nodes below t's level (or t), so a phase never descends into nodes
@@ -22,11 +24,14 @@ package repro.flow
 final class Dinic(val n: Int, arcHint: Int = 16) {
   private val EPS = 1e-10
 
-  // the arc list, in addEdge order: arc e is arcTail(e) -> arcHead(e), capacity arcCap(e)
+  // the arc list, in addEdge order: arc e is arcTail(e) -> arcHead(e), capacity
+  // arcCap(e), its reverse capacity arcBack(e); `paired` counts positive arcBack
   private var arcTail = new Array[Int](math.max(1, arcHint))
   private var arcHead = new Array[Int](arcTail.length)
   private var arcCap  = new Array[Double](arcTail.length)
+  private var arcBack = new Array[Double](arcTail.length)
   private var m       = 0
+  private var paired  = 0
 
   // the CSR layout of the first `laidOut` arcs and their reverses: arc e is at
   // slot(e), its reverse at rev(slot(e)); base holds the capacities reset restores
@@ -41,8 +46,9 @@ final class Dinic(val n: Int, arcHint: Int = 16) {
   private var nPhases = 0L
   private var cutFrom = -1 // source whose complete residual BFS `level` holds, or -1
 
-  /** Arcs added, not counting reverse arcs. */
-  def arcs: Int = m
+  /** Arcs added: one per `addEdge`, two for a pair with a positive back
+    * capacity; zero-capacity reverse arcs are not counted. */
+  def arcs: Int = m + paired
 
   /** Augmenting phases (BFS rounds that reached t) over every [[maxFlow]]. */
   def phases: Long = nPhases
@@ -51,25 +57,28 @@ final class Dinic(val n: Int, arcHint: Int = 16) {
   private def checkNode(v: Int, what: String): Unit =
     if (v < 0 || v >= n) throw new IllegalArgumentException(s"$what $v is outside [0, $n)")
 
-  private def checkCap(c: Double): Unit =
+  private def checkCap(c: Double, what: String = "capacity"): Unit =
     if (!(c >= 0 && c < Double.PositiveInfinity))
-      throw new IllegalArgumentException(s"capacity must be finite and >= 0, got $c")
+      throw new IllegalArgumentException(s"$what must be finite and >= 0, got $c")
 
-  /** Add a directed edge u -> v with capacity c (reverse edge cap 0); returns its arc id. */
-  def addEdge(u: Int, v: Int, c: Double): Int = {
-    checkNode(u, "tail"); checkNode(v, "head"); checkCap(c)
+  /** Add a directed edge u -> v with capacity c whose reverse edge v -> u
+    * has capacity `back` (the same cut as a second `addEdge(v, u, back)`);
+    * returns its arc id. */
+  def addEdge(u: Int, v: Int, c: Double, back: Double = 0.0): Int = {
+    checkNode(u, "tail"); checkNode(v, "head"); checkCap(c); checkCap(back, "back capacity")
     if (m == arcTail.length) {
       val len = m * 2
       arcTail = java.util.Arrays.copyOf(arcTail, len); arcHead = java.util.Arrays.copyOf(arcHead, len)
-      arcCap = java.util.Arrays.copyOf(arcCap, len)
+      arcCap = java.util.Arrays.copyOf(arcCap, len); arcBack = java.util.Arrays.copyOf(arcBack, len)
     }
-    arcTail(m) = u; arcHead(m) = v; arcCap(m) = c
+    arcTail(m) = u; arcHead(m) = v; arcCap(m) = c; arcBack(m) = back
+    if (back > 0) paired += 1
     cutFrom = -1
     m += 1
     m - 1
   }
 
-  /** Set arc e's capacity, effective from the next [[reset]]. */
+  /** Set arc e's capacity (not its back capacity), effective from the next [[reset]]. */
   def setCapacity(e: Int, c: Double): Unit = {
     if (e < 0 || e >= m) throw new IllegalArgumentException(s"no arc $e")
     checkCap(c)
@@ -101,7 +110,7 @@ final class Dinic(val n: Int, arcHint: Int = 16) {
       fill(arcTail(e)) -= 1; val p = fill(arcTail(e))
       fill(arcHead(e)) -= 1; val q = fill(arcHead(e))
       to2(p) = arcHead(e); to2(q) = arcTail(e); rev2(p) = q; rev2(q) = p; slot2(e) = p
-      base2(p) = arcCap(e)
+      base2(p) = arcCap(e); base2(q) = arcBack(e)
       e += 1
     }
     val cap2 = base2.clone()

@@ -3,7 +3,9 @@ package repro.core
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestUtil
 import repro.data.SynthGraphs
+import repro.graph.LocalGraph
 import repro.patterns.Pattern
+import scala.util.Random
 
 class CoreExactSpec extends AnyFunSuite {
 
@@ -127,5 +129,86 @@ class CoreExactSpec extends AnyFunSuite {
   test("stats: one node count, one arc count per probe") {
     val (_, st) = CoreExact.runWithStats(SynthGraphs.figure5, Pattern.Edge)
     assert(st.networkNodeCounts.size == st.probes && st.networkArcCounts.size == st.probes)
+  }
+
+  /** Component i of a planted union: a clique K_a; satellites, the t-th
+    * joined to sats(t) random clique vertices; junk cliques, each joined to
+    * the clique by one edge; and `noise` random edges over the component.
+    * Its vertices get the ids 1000·i + 0 until its size, in random order. */
+  private def component(i: Int, a: Int, sats: Seq[Int], junk: Seq[Int], noise: Int,
+                        rnd: Random): Seq[(Long, Long)] = {
+    val e = scala.collection.mutable.ArrayBuffer.empty[(Long, Long)]
+    for (u <- 0 until a; v <- u + 1 until a) e += ((u, v))
+    sats.zipWithIndex.foreach { case (s, t) =>
+      rnd.shuffle((0 until a).toList).take(s).foreach(c => e += ((c, a + t)))
+    }
+    var j0 = a + sats.length
+    junk.zipWithIndex.foreach { case (j, x) =>
+      for (u <- 0 until j; v <- u + 1 until j) e += ((j0 + u, j0 + v))
+      e += ((x % a, j0))
+      j0 += j
+    }
+    for (_ <- 0 until noise) {
+      val u = rnd.nextInt(j0); val v = rnd.nextInt(j0)
+      if (u != v) e += ((u, v))
+    }
+    val perm = rnd.shuffle((0 until j0).toVector) // so no part is a prefix of the ids
+    e.map { case (u, v) => (perm(u.toInt) + 1000L * i, perm(v.toInt) + 1000L * i) }.toSeq
+  }
+
+  /** Three components, searched in this order: a 16-clique whose satellites
+    * lift its densest subgraph above k'' (the peel removes them before the
+    * denser-degree junk, so ρ'' stays low); a 15-clique with junk cliques
+    * K_4..K_15 hanging off it, whose core numbers span the range between k''
+    * and that lifted bound; and the CDS, a 16-clique with `lastSats` and
+    * `lastJunk`. */
+  private def plantedUnion(seed: Int, lastSats: Seq[Int], lastJunk: Seq[Int]): LocalGraph = {
+    val rnd = new Random(seed)
+    LocalGraph.fromEdges(
+      component(0, 16, Seq.fill(14)(11), Seq(15, 15), 5, rnd) ++
+      component(1, 15, Nil, 4 to 15, 0, rnd) ++
+      component(2, 16, lastSats, lastJunk, 5, rnd))
+  }
+
+  private val unionPatterns = Seq((Pattern.Edge, "edge"), (Pattern.Triangle, "triangle"),
+                                  (Pattern.Clique(4), "4-clique"), (Pattern.Diamond, "diamond"))
+
+  // (a) the first component lifts l above k'', so the later two are cut to
+  // their (⌈l⌉, Ψ)-cores before their networks are built, the CDS component
+  // losing its low junk cliques; (b) haloed CDS: 14 satellites of 14 plus 10
+  // of 10, so a probe finds the halo first and a later one shrinks the
+  // network to a higher core (Optimization 4)
+  for ((kind, sats, junk, seeds) <- Seq(
+         ("later components pre-filtered", Seq.fill(14)(12), Seq(15, 15) ++ (4 to 14), Seq(1, 2, 4, 7)),
+         ("haloed CDS, network shrinks", Seq.fill(14)(14) ++ Seq.fill(10)(10), Seq(17, 17), Seq(1, 2, 4, 6)));
+       seed <- seeds; (p, nm) <- unionPatterns) {
+    test(s"CoreExact equals Exact on planted cliques, CDS in the last component: $kind (Ψ=$nm, seed=$seed)") {
+      val g        = plantedUnion(seed, sats, junk)
+      val (ce, st) = CoreExact.runWithStats(g, p)
+      val ex       = Exact.run(g, p)
+      assert(math.abs(ce.density - ex.density) < 1e-9, s"coreexact=${ce.density} exact=${ex.density}")
+      assert(ce.vertices.sorted.sameElements(ex.vertices.sorted))
+      assert(ce.externalIds(g).forall(_ >= 2000L), "the CDS lies in the component searched last")
+      assert(st.probes > 3, "ρ'' < ρ_opt: the binary search runs")
+    }
+  }
+
+  // Same-search guard: probes and every network's node and arc count of
+  // CoreExact on one SSCA stand-in, as commit 5f2f37f produced them. A
+  // change to the flow or search layers that keeps the search must keep these.
+  for ((p, nm, probes, nodes, arcs) <- Seq(
+         (Pattern.Edge, "edge", 7, Vector(1228, 1240, 173, 155, 93, 93, 247),
+          Vector(4622L, 4682L, 648L, 578L, 338L, 338L, 920L)),
+         (Pattern.Triangle, "triangle", 7, Vector(5071, 5594, 836, 699, 301, 301, 998),
+          Vector(29942L, 33060L, 4932L, 4114L, 1742L, 1742L, 5856L)),
+         (Pattern.Clique(4), "4-clique", 5, Vector(17769, 20787, 3080, 2399, 2399),
+          Vector(141506L, 165542L, 24516L, 19074L, 19074L)))) {
+    test(s"same search as before on SSCA (scale 0.005, seed 16): probes and network sizes (Ψ=$nm)") {
+      val g       = SynthGraphs.standIn("SSCA", 0.005, 16).g
+      val (_, st) = CoreExact.runWithStats(g, p)
+      assert(st.probes == probes)
+      assert(st.networkNodeCounts == nodes)
+      assert(st.networkArcCounts == arcs)
+    }
   }
 }

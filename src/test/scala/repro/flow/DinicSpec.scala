@@ -241,4 +241,67 @@ class DinicSpec extends AnyFunSuite {
     d.addEdge(1, 4, 1.0) // a new residual arc out of the source side
     assert(d.minCutSourceSide(0).toSeq == Seq(true, true, false, false, true))
   }
+
+  /** Random opposite-arc pairs (u, v, a, b) with half-integer capacities,
+    * b = 0 for about a third of them. */
+  private def randomPairs(n: Int, p: Double, seed: Long): IndexedSeq[(Int, Int, Double, Double)] = {
+    val rnd = new Random(seed)
+    for {
+      u <- 0 until n; v <- 0 until n
+      if u != v && rnd.nextDouble() < p
+    } yield (u, v, math.rint(rnd.nextDouble() * 10) / 2.0,
+             if (rnd.nextInt(3) == 0) 0.0 else math.rint(rnd.nextDouble() * 10) / 2.0)
+  }
+
+  for (seed <- 1 to 20; (n, p) <- Seq((7, 0.25), (40, 0.06))) {
+    test(s"a paired arc gives the same flow and cut as two arcs (n=$n, seed=$seed)") {
+      val pairs  = randomPairs(n, p, seed)
+      val paired = new Dinic(n)
+      pairs.foreach { case (u, v, a, b) => paired.addEdge(u, v, a, b) }
+      val arcs   = pairs.flatMap { case (u, v, a, b) => Seq((u, v, a), (v, u, b)) }
+      val two    = network(n, arcs)
+      val f      = paired.maxFlow(0, n - 1)
+      assert(math.abs(f - two.maxFlow(0, n - 1)) < 1e-9)
+      if (n <= 7) assert(math.abs(f - bruteMinCut(n, arcs, 0, n - 1)) < 1e-9)
+      assert(paired.minCutSourceSide(0).toSeq == two.minCutSourceSide(0).toSeq)
+    }
+  }
+
+  test("reset restores the back capacity of a paired arc") {
+    // 0 -> 1 only through the back capacity of 1 -> 0
+    val d = new Dinic(3)
+    d.addEdge(1, 0, 5.0, 3.0); d.addEdge(1, 2, 10.0)
+    assert(d.maxFlow(0, 2) == 3.0)
+    assert(d.maxFlow(0, 2) == 0.0)
+    d.reset()
+    assert(d.maxFlow(0, 2) == 3.0)
+  }
+
+  test("setCapacity on a paired arc changes only its forward capacity") {
+    // forward 0 -> 1 (2.0) feeds 1 -> 3; back 1 -> 0 (3.0) carries 2 -> 1 -> 0
+    val d = new Dinic(4)
+    val e = d.addEdge(0, 1, 2.0, 3.0); d.addEdge(1, 3, 10.0); d.addEdge(2, 1, 10.0)
+    assert(d.maxFlow(0, 3) == 2.0)
+    d.setCapacity(e, 4.0)
+    d.reset()
+    assert(d.maxFlow(0, 3) == 4.0)
+    d.reset()
+    assert(d.maxFlow(2, 0) == 3.0)
+  }
+
+  test("arcs counts a pair with a positive back capacity twice") {
+    val d = new Dinic(3)
+    d.addEdge(0, 1, 1.0, 2.0); d.addEdge(1, 2, 1.0); d.addEdge(2, 0, 1.0, 0.0)
+    assert(d.arcs == 4)
+    d.addEdge(0, 2, 0.0, 0.5)
+    assert(d.arcs == 6)
+  }
+
+  test("addEdge rejects a negative, NaN or infinite back capacity") {
+    val d = new Dinic(3)
+    rejects("-0.5")(d.addEdge(0, 1, 1.0, -0.5))
+    rejects("NaN")(d.addEdge(0, 1, 1.0, Double.NaN))
+    rejects("Infinity")(d.addEdge(0, 1, 1.0, Double.PositiveInfinity))
+    assert(d.arcs == 0)
+  }
 }
