@@ -8,21 +8,14 @@ import scala.collection.mutable
 /** CoreExact (Algorithm 4): exact CDS/PDS via (k, Ψ)-cores.
   *
   * Optimizations over [[Exact]], as in Section 6.1:
-  *  1. tighter α bounds — l = ρ'' (best residual / component density from the
-  *     decomposition), u = k_max;
-  *  2. the CDS is located inside the (k'', Ψ)-core (Prunings 1+2), and binary
-  *     search runs per connected component with the component-local stopping
-  *     criterion (Pruning 3);
+  *  1. a tighter start for the search on α — l = ρ'' (best residual /
+  *     component density from the decomposition);
+  *  2. the CDS is located inside the (k'', Ψ)-core (Prunings 1+2), and the
+  *     search runs per connected component (Pruning 3);
   *  3. flow-network nodes pruned by Lemma 8, instances grouped by vertex set
   *     (construct+; skipped for cliques, which never share a vertex set);
   *  4. as the lower bound l grows, components shrink to the (⌈l⌉, Ψ)-core,
   *     so later networks get smaller.
-  *
-  * Deviation (documented in DESIGN.md): the upper bound u is NOT carried
-  * across components — a failed probe in one component bounds only that
-  * component's density. Algorithm 4's pseudocode shares u globally, which is
-  * unsound when the CDS lives in a later component; per-component u preserves
-  * every claimed optimization while keeping exactness.
   */
 object CoreExact {
 
@@ -51,18 +44,17 @@ object CoreExact {
 
     val h    = psi.numVertices
     val core = dec.core
-    val kMax = dec.kMax
 
-    def ceilL(x: Double): Long = math.ceil(x - 1e-9).toLong
+    // ⌈ρ(S)⌉, exactly
+    def ceilDensity(s: Subgraph): Long = (s.instances + s.size - 1) / s.size
 
     // Pruning 1: ρ' from the residual subgraphs of the decomposition.
-    val kPrime  = math.max(1L, ceilL(dec.bestDensity))
+    var best    = Densest.subgraphOf(instances, n, dec.bestResidualVertices)
+    val kPrime  = math.max(1L, ceilDensity(best))
     val kpVerts = dec.coreVertices(kPrime)
 
     // Pruning 2: per-component densities of the (k', Ψ)-core, one pass over Λ.
     val compsKp = componentsWithin(g, kpVerts)
-    var best    = Densest.subgraphOf(instances, n, dec.bestResidualVertices)
-    var rhoPP: Double = best.density
     locally {
       val compId = Array.fill(n)(-1)
       compsKp.iterator.zipWithIndex.foreach { case (cc, i) => cc.foreach(compId(_) = i) }
@@ -77,11 +69,10 @@ object CoreExact {
       }
       compsKp.iterator.zipWithIndex.foreach { case (cc, i) =>
         val dens = perComp(i).toDouble / cc.length
-        if (dens > rhoPP) rhoPP = dens
         if (dens > best.density) best = Subgraph(cc, perComp(i), dens)
       }
     }
-    val kPP = math.max(kPrime, ceilL(rhoPP))
+    val kPP = math.max(kPrime, ceilDensity(best))
 
     // h-cliques never share a vertex set, so grouping them finds nothing
     val group: IndexedSeq[Array[Int]] => Array[DensestFlow.Group] = psi match {
@@ -96,30 +87,26 @@ object CoreExact {
     // positions in vs of the vertices of the (k, Ψ)-core
     def inCore(vs: Array[Int], k: Long): Array[Int] =
       java.util.stream.IntStream.range(0, vs.length).filter(i => core(vs(i)) >= k).toArray
-    var l = rhoPP
     comps.indices.foreach { c =>
       val cc = comps(c)
-      // shrink to the (⌈l⌉, Ψ)-core if l already exceeds k''
+      // shrink to the (⌈ρ⌉, Ψ)-core of the best density ρ so far if it exceeds k''
+      var shrinkK = math.max(kPP, ceilDensity(search.best))
       val (cv, local) =
-        if (ceilL(l) <= kPP) (cc, parts(c))
+        if (shrinkK == kPP) (cc, parts(c))
         else {
-          val keep = inCore(cc, ceilL(l))
+          val keep = inCore(cc, shrinkK)
           (keep.map(cc), Densest.restrict(parts(c), cc.length, keep))
         }
       if (cv.length >= h) {
         search.on(cv, local)
-        // feasibility at the current lower bound (Algorithm 4 lines 7-10)
-        search.probe(l).foreach { first =>
-          var shrinkK = math.max(kPP, ceilL(l))
-          l = search.bisect(first.density, kMax.toDouble, (lo, vs) =>
-            // Optimization 4: locate the CDS in a higher core as l grows.
-            if (ceilL(lo) <= shrinkK) vs.indices.toArray
-            else {
-              shrinkK = ceilL(lo)
-              val keep = inCore(vs, shrinkK)
-              if (keep.length < h) Array.emptyIntArray else keep
-            })
-        }
+        search.climb(search.best.density, (found, vs) =>
+          // Optimization 4: locate the CDS in a higher core as ρ grows.
+          if (ceilDensity(found) <= shrinkK) vs.indices.toArray
+          else {
+            shrinkK = ceilDensity(found)
+            val keep = inCore(vs, shrinkK)
+            if (keep.length < h) Array.emptyIntArray else keep
+          })
       }
     }
     (search.best, Stats(tCore, System.nanoTime() - t0, search.nodeCounts.result(), search.probes,

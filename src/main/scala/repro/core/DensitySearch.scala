@@ -2,14 +2,15 @@ package repro.core
 
 import repro.flow.DensestFlow
 
-/** The binary search on the density guess α of [[Exact]] (Algorithm 1),
+/** The search on the density guess α of [[Exact]] (Algorithm 1),
   * [[CoreExact]] (Algorithm 4, per component) and [[QueryDensest]] (Section
   * 6.3), on one network over `verts` (input-graph ids) reused until they
   * change. The search reads only the instances inside `verts`, renumbered to
   * positions in `verts`: `network(|verts|, local)` builds the network from
   * them, and a probe counts μ of its source side in them. A probe at α
-  * succeeds when the min cut's source side is denser than α, which raises l
-  * to that density. `best`: densest subgraph seen. */
+  * succeeds when the min cut's source side is denser than α. `best`: densest
+  * subgraph seen.
+  */
 private[core] final class DensitySearch(network: (Int, Array[Array[Int]]) => DensestFlow.Network,
                                         var best: Subgraph) {
   private var verts = Array.emptyIntArray
@@ -26,8 +27,10 @@ private[core] final class DensitySearch(network: (Int, Array[Array[Int]]) => Den
     verts = vs; this.local = local; net = network(vs.length, local)
   }
 
-  /** One min-cut probe at α: the source side, if it is denser than α. */
-  def probe(alpha: Double): Option[Subgraph] = {
+  /** One min-cut probe at α: the source side, if it is denser than α. A
+    * source side that is not (possible with pinned vertices) is still
+    * offered to `best`. */
+  private def probe(alpha: Double): Option[Subgraph] = {
     probes += 1
     nodeCounts += net.dinic.n
     arcCounts += net.dinic.arcs
@@ -41,25 +44,25 @@ private[core] final class DensitySearch(network: (Int, Array[Array[Int]]) => Den
     Some(cand).filter(_.density > alpha)
   }
 
-  /** Halve [l, u) until it is narrower than 1/(|verts|(|verts|−1)); returns
-    * the final lower bound. After each success `shrink(l, verts)` gives the
-    * positions in `verts` to go on with, ascending: fewer rebuild the network
-    * on their own instances, none ends the search.
+  /** Dinkelbach's iteration (Newton's method on the parametric min cut):
+    * probe at `l0`, then at the density ρ(S) of each source side S found,
+    * until a probe fails. A failed probe at α = ρ(S) proves that nothing in
+    * `verts` is denser than S. With pinned vertices `l0` must not exceed the
+    * optimum, so that a failed first probe offers an optimum to `best`.
+    * After each success `shrink(S, verts)` gives the positions in `verts` to
+    * go on with, ascending: fewer rebuild the network on their own
+    * instances, none ends the search.
     */
-  def bisect(l0: Double, u0: Double, shrink: (Double, Array[Int]) => Array[Int] = (_, vs) => vs.indices.toArray): Double = {
-    var l = l0
-    var u = u0
-    while (verts.nonEmpty && u - l >= 1.0 / (verts.length.toLong * math.max(1L, verts.length - 1L))) {
-      val alpha = (l + u) / 2
-      probe(alpha) match {
-        case None => u = alpha
-        case Some(c) =>
-          l = c.density
-          val keep = shrink(l, verts)
-          if (keep.isEmpty) verts = keep
-          else if (keep.length != verts.length) on(keep.map(verts), Densest.restrict(local, verts.length, keep))
-      }
+  def climb(l0: Double, shrink: (Subgraph, Array[Int]) => Array[Int] = (_, vs) => vs.indices.toArray): Unit = {
+    var found = probe(l0)
+    while (found.nonEmpty) {
+      val keep = shrink(found.get, verts)
+      found =
+        if (keep.isEmpty) None
+        else {
+          if (keep.length != verts.length) on(keep.map(verts), Densest.restrict(local, verts.length, keep))
+          probe(found.get.density)
+        }
     }
-    l
   }
 }

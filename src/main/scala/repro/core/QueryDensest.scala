@@ -18,14 +18,15 @@ import repro.patterns.Pattern
 object QueryDensest {
 
   def run(g: LocalGraph, psi: Pattern, query: Set[Int]): Subgraph = {
-    require(query.nonEmpty && query.forall(v => v >= 0 && v < g.n), "bad query set")
+    require(query.nonEmpty, "query set is empty")
+    query.foreach(v => require(v >= 0 && v < g.n, s"query vertex $v is outside [0, ${g.n})"))
     val n         = g.n
     val h         = psi.numVertices
     val instances = psi.instances(g)
     if (instances.isEmpty) return Subgraph(query.toArray.sorted, 0L, 0.0)
     val dec = CliqueCore.decomposeInstances(n, instances)
     val x   = query.map(dec.core(_)).min
-    val kLoc = math.max(0L, math.ceil(x.toDouble / h - 1e-9).toLong)
+    val kLoc = (x + h - 1) / h // ⌈x/|V_Ψ|⌉
 
     // candidate vertex set: the localization core plus Q itself
     val cand   = (dec.coreVertices(kLoc).toSet ++ query).toArray.sorted
@@ -35,7 +36,9 @@ object QueryDensest {
     val search = new DensitySearch((nv, inst) => new DensestFlow.Network(nv, DensestFlow.group(inst), h, pinned),
       Subgraph(cand, local.length.toLong, local.length.toDouble / cand.length))
     search.on(cand, local)
-    search.bisect(math.max(x.toDouble / h, search.best.density), dec.kMax.toDouble)
+    // both start points are at most ρ_opt(Q), so a first probe that fails
+    // has an optimum as its source side
+    search.climb(math.max(x.toDouble / h, search.best.density))
     // the result must contain Q: every probe's source side and the seed do
     search.best
   }

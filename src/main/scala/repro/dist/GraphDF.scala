@@ -62,15 +62,4 @@ object GraphDF {
     val d = triangleDegrees(edges).agg(sum("tdeg")).collect()(0)
     if (d.isNullAt(0)) 0L else d.getLong(0) / 3
   }
-
-  /** A co-purchase graph derived from the TPC-H-lite `lineitem` table:
-    * parts are vertices, an edge connects two parts that appear in the same
-    * order. Connects the provided OLAP generators ([[repro.SynthData]]) to
-    * the graph pipeline — a realistic way such graphs arise in practice.
-    */
-  def coPurchaseEdges(lineitem: DataFrame): DataFrame = {
-    val a = lineitem.select(col("l_orderkey").as("o"), col("l_partkey").as("src"))
-    val b = lineitem.select(col("l_orderkey").as("o"), col("l_partkey").as("dst"))
-    canonical(a.join(b, "o").filter(col("src") < col("dst")).select("src", "dst"))
-  }
 }

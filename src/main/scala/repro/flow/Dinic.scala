@@ -4,8 +4,9 @@ package repro.flow
   *
   * The paper's exact algorithms only need an exact min-st-cut oracle inside
   * the binary search (they use Gusfield's algorithm); Dinic is exact and
-  * simple. Capacities here are O(cliqueDegree) with gaps no finer than
-  * 1/(n(n-1)) between meaningful α values, far above double round-off.
+  * simple. Capacities here are O(cliqueDegree); at a probe α = ρ(S) a
+  * denser subgraph S′ lowers the min cut by at least h/|S|, far above
+  * double round-off.
   *
   * [[addEdge]] appends to an arc list (sized from `arcHint`, doubled when
   * full). The first [[reset]], [[maxFlow]] or [[minCutSourceSide]] after an

@@ -88,7 +88,7 @@ class DensestSpec extends AnyFunSuite {
     }, Subgraph(Array.emptyIntArray, 0L, 0.0))
     search.on(vs, Densest.restrict(inst, g.n, vs))
     var shrunk = false
-    search.bisect(0.0, 9.0, (_, cur) =>
+    search.climb(0.0, (_, cur) =>
       if (shrunk) cur.indices.toArray
       else { shrunk = true; cur.indices.filter(cur(_) < 6).toArray })
     assert(built.size == 2)

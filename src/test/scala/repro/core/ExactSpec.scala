@@ -3,6 +3,7 @@ package repro.core
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestUtil
 import repro.data.SynthGraphs
+import repro.flow.DensestFlow
 import repro.graph.LocalGraph
 import repro.patterns.Pattern
 
@@ -82,5 +83,27 @@ class ExactSpec extends AnyFunSuite {
     val n = 20000
     val r = Exact.run(TestUtil.path(n), Pattern.Edge)
     assert(r.size == n && r.density == (n - 1).toDouble / n)
+  }
+
+  test("a density gap of 1/(n(n-1)) at n ≈ 10^4: Exact and CoreExact find the unique optimum, the cut decides at it") {
+    // A = C_5000(1..5) is 10-regular, ρ = 5; B = C_4999(1..5) plus the chord
+    // (0, 2499) has ρ = 5 + 1/4999. As 2μ(S) ≤ 10|S| + 2 − e(S, S̄), B is the
+    // unique optimum.
+    def circulant(base: Long, size: Int) =
+      for (i <- 0 until size; d <- 1 to 5) yield (base + i, base + (i + d) % size)
+    val g    = LocalGraph.fromEdges(circulant(0, 5000) ++ circulant(5000, 4999) :+ ((5000L, 7499L)))
+    val n    = g.n
+    val b    = (5000 until n).toArray // local ids equal the external ones
+    val rhoB = 24996.0 / 4999
+    assert(n == 9999 && g.m == 49996)
+    for (r <- Seq(Exact.run(g, Pattern.Edge), CoreExact.run(g, Pattern.Edge))) {
+      assert(r.vertices.sorted.sameElements(b), s"${r.size} vertices from ${r.vertices.min}, μ = ${r.instances}")
+      assert(r.instances == 24996L && r.density == rhoB)
+    }
+    val groups = DensestFlow.ungrouped(Pattern.Edge.instances(g))
+    val at     = DensestFlow.denserThan(n, groups, 2, rhoB)
+    assert(at.isEmpty, s"${at.length} vertices at ρ(B)")
+    val below  = DensestFlow.denserThan(n, groups, 2, rhoB - 1.0 / (n.toLong * (n - 1)))
+    assert(below.sameElements(b), s"${below.length} vertices just below ρ(B)")
   }
 }

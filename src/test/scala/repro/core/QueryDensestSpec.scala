@@ -78,4 +78,27 @@ class QueryDensestSpec extends AnyFunSuite {
       assert(math.abs(r.density - ce.density) < 1e-9, s"${r.density} vs ${ce.density}")
     }
   }
+
+  test("a first probe that fails offers its source side, the answer (K5 plus a 12-cycle, Q in the K5)") {
+    // x = 4, so the candidates are the 2-core ∪ Q, all 17 vertices, of density
+    // 22/17; the probe at x/2 = 2 fails and only its source side K5 is optimal
+    val g  = LocalGraph.fromEdges(
+      (for (i <- 0 until 5; j <- (i + 1) until 5) yield (i.toLong, j.toLong)) ++
+      (0 until 12).map(i => (10L + i, 10L + (i + 1) % 12)))
+    val r  = QueryDensest.run(g, Pattern.Edge, Set(0))
+    val bf = QueryDensest.bruteForce(g, Pattern.Edge, Set(0))
+    assert(g.n == 17)
+    assert(r.vertices.sorted.sameElements(bf.vertices) && r.instances == bf.instances && r.density == bf.density)
+    assert(r.vertices.sorted.sameElements(0 until 5) && r.density == 2.0)
+  }
+
+  test("an empty query, and query vertices outside [0, n), are rejected by name") {
+    val g  = TestUtil.complete(4)
+    val e0 = intercept[IllegalArgumentException](QueryDensest.run(g, Pattern.Edge, Set.empty))
+    assert(e0.getMessage.contains("empty"), e0.getMessage)
+    for (v <- Seq(4, 7, -3)) {
+      val e = intercept[IllegalArgumentException](QueryDensest.run(g, Pattern.Edge, Set(1, v)))
+      assert(e.getMessage.contains(s"vertex $v ") && e.getMessage.contains("[0, 4)"), e.getMessage)
+    }
+  }
 }

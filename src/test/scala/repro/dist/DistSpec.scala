@@ -157,30 +157,6 @@ class DistSpec extends SparkSpec {
     }
   }
 
-  test("co-purchase graph from SynthData lineitem matches the DuckDB oracle") {
-    val li = repro.SynthData.lineitem(spark, sf = 0.0005).select("l_orderkey", "l_partkey")
-    Oracle.assertEquivalent(
-      GraphDF.coPurchaseEdges(li),
-      """SELECT DISTINCT least(CAST(a.l_partkey AS BIGINT), CAST(b.l_partkey AS BIGINT)) AS src,
-        |                greatest(CAST(a.l_partkey AS BIGINT), CAST(b.l_partkey AS BIGINT)) AS dst
-        |FROM li a JOIN li b ON a.l_orderkey = b.l_orderkey
-        |WHERE a.l_partkey <> b.l_partkey""".stripMargin,
-      "li" -> li)
-  }
-
-  test("end-to-end: densest subgraph of the co-purchase graph") {
-    val li    = repro.SynthData.lineitem(spark, sf = 0.0005).select("l_orderkey", "l_partkey")
-    val edges = GraphDF.coPurchaseEdges(li)
-    val g     = repro.graph.LocalGraph.fromDF(edges)
-    val eds   = Exact.run(g, Pattern.Edge)
-    val peel  = repro.core.PeelApp.run(g, Pattern.Edge)
-    assert(eds.density > 0)
-    assert(peel.density + 1e-9 >= eds.density / 2 && peel.density <= eds.density + 1e-9)
-    // distributed approx on the same derived graph
-    val dist = DistDensest.edsApprox(spark, edges, eps = 0.05)
-    assert(dist.density + 1e-9 >= eds.density / 2.1)
-  }
-
   test("vertices() lists each endpoint once") {
     import spark.implicits._
     val e = Seq((1L, 2L), (2L, 3L)).toDF("src", "dst")
