@@ -30,10 +30,4 @@ object IncApp {
     val dec = CliqueCore.decomposeInstances(g.n, instances)
     Densest.subgraphOf(instances, g.n, dec.kMaxCoreVertices)
   }
-
-  /** k_max and the (k_max, Ψ)-core vertex set (local ids). */
-  def kMaxCore(g: LocalGraph, psi: Pattern): (Long, Array[Int]) = {
-    val dec = CliqueCore.decompose(g, psi)
-    (dec.kMax, dec.kMaxCoreVertices)
-  }
 }

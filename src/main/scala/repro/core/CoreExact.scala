@@ -3,7 +3,6 @@ package repro.core
 import repro.flow.DensestFlow
 import repro.graph.LocalGraph
 import repro.patterns.Pattern
-import scala.collection.mutable
 
 /** CoreExact (Algorithm 4): exact CDS/PDS via (k, Ψ)-cores.
   *
@@ -54,7 +53,7 @@ object CoreExact {
     val kpVerts = dec.coreVertices(kPrime)
 
     // Pruning 2: per-component densities of the (k', Ψ)-core, one pass over Λ.
-    val compsKp = componentsWithin(g, kpVerts)
+    val compsKp = g.components(kpVerts)
     locally {
       val compId = Array.fill(n)(-1)
       compsKp.iterator.zipWithIndex.foreach { case (cc, i) => cc.foreach(compId(_) = i) }
@@ -80,7 +79,7 @@ object CoreExact {
       case _                 => DensestFlow.group
     }
     // Pruning 3: one pass gives each sorted component its own instance list
-    val comps  = componentsWithin(g, dec.coreVertices(kPP))
+    val comps  = g.components(dec.coreVertices(kPP))
     val parts  = Densest.partition(instances, n, comps)
     val search = new DensitySearch((nv, local) => new DensestFlow.Network(
       nv, DensestFlow.pruneLemma8(nv, group(local), h), h), best)
@@ -113,30 +112,4 @@ object CoreExact {
                         search.arcCounts.result(), search.phases))
   }
 
-  /** Connected components restricted to `subset`, each a sorted array of
-    * g-local ids. */
-  def componentsWithin(g: LocalGraph, subset: Array[Int]): Seq[Array[Int]] = {
-    val inSet = new Array[Boolean](g.n)
-    subset.foreach(inSet(_) = true)
-    val seen = new Array[Boolean](g.n)
-    val out  = mutable.ArrayBuffer.empty[Array[Int]]
-    subset.foreach { s =>
-      if (!seen(s)) {
-        val comp  = new mutable.ArrayBuilder.ofInt
-        val stack = new mutable.ArrayDeque[Int]()
-        seen(s) = true; stack.append(s)
-        while (stack.nonEmpty) {
-          val v = stack.removeLast()
-          comp.addOne(v)
-          g.adj(v).foreach { w =>
-            if (inSet(w) && !seen(w)) { seen(w) = true; stack.append(w) }
-          }
-        }
-        val c = comp.result()
-        java.util.Arrays.sort(c)
-        out += c
-      }
-    }
-    out.toSeq
-  }
 }

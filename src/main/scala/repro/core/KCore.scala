@@ -75,10 +75,6 @@ object KCore {
   /** Maximum core number of `g`. */
   def kMax(g: LocalGraph): Int = decompose(g).kMax
 
-  /** The k-core of `g` as an induced subgraph (external ids preserved). */
-  def kCore(g: LocalGraph, k: Int): LocalGraph =
-    g.induced(decompose(g).coreVertices(k))
-
   /** The k_max-core of `g` (the densest classical core). */
   def kMaxCore(g: LocalGraph): LocalGraph = {
     val dec = decompose(g)

@@ -1,7 +1,6 @@
 package repro.dist
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
 
 /** Distributed densest-subgraph approximation by iterative degree pruning.
   *
@@ -19,83 +18,36 @@ object DistDensest {
   /** Result of a distributed approximation: vertex ids + density achieved. */
   final case class Result(vertexIds: Array[Long], density: Double)
 
-  /** 1/(2(1+eps))-approximate EDS via batched peeling. */
+  /** 1/(2(1+eps))-approximate EDS via batched peeling. A round removes at
+    * least one vertex only when eps >= 0 (the threshold is then at least the
+    * average degree), so a negative, infinite or NaN eps is rejected.
+    */
   def edsApprox(spark: SparkSession, edges0: DataFrame, eps: Double = 0.1): Result = {
-    var edges  = GraphDF.canonical(edges0).localCheckpoint(true)
-    var verts  = GraphDF.vertices(edges).localCheckpoint(true)
-    var nEdges = edges.count()
-    var nVerts = verts.count()
-    var best      = Result(verts.collect().map(_.getLong(0)), nEdges.toDouble / math.max(1L, nVerts))
-    while (nVerts > 0 && nEdges > 0) {
-      val rho  = nEdges.toDouble / nVerts
-      val keep = GraphDF.degrees(edges)
-        .filter(col("deg") > 2.0 * (1.0 + eps) * rho)
-        .select("id").localCheckpoint(true)
-      verts  = keep
-      edges  = GraphDF.inducedEdges(edges, keep).localCheckpoint(true)
-      nVerts = verts.count()
-      nEdges = edges.count()
-      if (nVerts > 0) {
-        val dens = nEdges.toDouble / nVerts
-        if (dens > best.density)
-          best = Result(verts.collect().map(_.getLong(0)), dens)
-      }
+    require(eps >= 0 && eps < Double.PositiveInfinity, s"eps must be finite and >= 0, got $eps")
+    var bestRho = 0.0
+    var bestIds = Option.empty[DataFrame]
+    GraphDF.peel(edges0, GraphDF.degrees) { r =>
+      val rho = (r.degSum / 2).toDouble / r.n
+      if (rho > bestRho) { bestRho = rho; bestIds = Some(r.degrees) }
+      if (r.degSum == 0) None else Some(2.0 * (1.0 + eps) * rho)
     }
-    best
+    Result(bestIds.fold(Array.empty[Long])(ids), bestRho)
   }
 
   /** Distributed (k, △)-core extraction: prune vertices with triangle-degree
     * < k until a fixpoint. Returns the surviving vertex ids.
     */
-  def triangleCoreVertices(spark: SparkSession, edges0: DataFrame, k: Long): Array[Long] = {
-    var edges = GraphDF.canonical(edges0).localCheckpoint(true)
-    var changed = true
-    var survivors = Array.empty[Long]
-    while (changed) {
-      val verts = GraphDF.vertices(edges).localCheckpoint(true)
-      val nVerts = verts.count()
-      if (nVerts == 0) { changed = false; survivors = Array.empty }
-      else {
-        val tdeg = verts
-          .join(GraphDF.triangleDegrees(edges), Seq("id"), "left")
-          .select(col("id"), coalesce(col("tdeg"), lit(0L)).as("tdeg"))
-        val keep = tdeg.filter(col("tdeg") >= k).select("id").localCheckpoint(true)
-        val nKeep = keep.count()
-        if (nKeep == nVerts) { changed = false; survivors = keep.collect().map(_.getLong(0)) }
-        else edges = GraphDF.inducedEdges(edges, keep).localCheckpoint(true)
-      }
-    }
-    survivors
-  }
+  def triangleCoreVertices(spark: SparkSession, edges0: DataFrame, k: Long): Array[Long] =
+    ids(GraphDF.coreAt(edges0, GraphDF.triangleDegrees, k))
 
   /** Distributed IncApp for Ψ = triangle: batch-peel on triangle-degree,
     * returning (k_max, vertices of the (k_max, △)-core).
     */
   def triangleKMaxCore(spark: SparkSession, edges0: DataFrame): (Long, Array[Long]) = {
-    var edges = GraphDF.canonical(edges0).localCheckpoint(true)
-    var k = 0L
-    // the (0, △)-core is the whole graph
-    var lastCore = (0L, GraphDF.vertices(edges).collect().map(_.getLong(0)))
-    var done = false
-    while (!done) {
-      val verts  = GraphDF.vertices(edges).localCheckpoint(true)
-      val nVerts = verts.count()
-      if (nVerts == 0) done = true
-      else {
-        val tdeg = verts
-          .join(GraphDF.triangleDegrees(edges), Seq("id"), "left")
-          .select(col("id"), coalesce(col("tdeg"), lit(0L)).as("tdeg"))
-          .localCheckpoint(true)
-        val minT = tdeg.agg(min("tdeg")).collect()(0).getLong(0)
-        if (minT > k) {
-          k = minT
-          lastCore = (k, tdeg.select("id").collect().map(_.getLong(0)))
-        }
-        val keep = tdeg.filter(col("tdeg") > k).select("id").localCheckpoint(true)
-        edges = GraphDF.inducedEdges(edges, keep).localCheckpoint(true)
-        if (keep.count() == 0) done = true
-      }
-    }
-    lastCore
+    val (k, core) = GraphDF.maxCore(edges0, GraphDF.triangleDegrees)
+    (k, ids(core))
   }
+
+  private def ids(vertices: DataFrame): Array[Long] =
+    vertices.select("id").collect().map(_.getLong(0))
 }

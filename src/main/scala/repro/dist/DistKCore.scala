@@ -7,31 +7,16 @@ import org.apache.spark.sql.functions._
   *
   * This is the "distributed implementation" the paper defers to future work
   * (Section 9) and the reproduction band asks for: k-core extraction and
-  * full core decomposition by iterative vertex-degree pruning, with
-  * `localCheckpoint` cutting the lineage between rounds.
+  * full core decomposition by iterative vertex-degree pruning, each a level
+  * rule over the one batched peel [[GraphDF.peel]].
   */
 object DistKCore {
 
   /** Vertices of the k-core: iteratively prune vertices with degree < k
     * until a fixpoint. Returns a single-column (`id`) DataFrame.
     */
-  def kCoreVertices(spark: SparkSession, edges0: DataFrame, k: Int): DataFrame = {
-    var edges = GraphDF.canonical(edges0).localCheckpoint(true)
-    var verts = GraphDF.vertices(edges).localCheckpoint(true)
-    var nVerts = verts.count()
-    var changed = true
-    while (changed && nVerts > 0) {
-      val keep = GraphDF.degrees(edges).filter(col("deg") >= k).select("id").localCheckpoint(true)
-      val nKeep = keep.count()
-      if (nKeep == nVerts) changed = false
-      else {
-        edges  = GraphDF.inducedEdges(edges, keep).localCheckpoint(true)
-        verts  = keep
-        nVerts = nKeep
-      }
-    }
-    if (nVerts == 0) spark.range(0).select(col("id")) else verts
-  }
+  def kCoreVertices(spark: SparkSession, edges0: DataFrame, k: Int): DataFrame =
+    GraphDF.coreAt(edges0, GraphDF.degrees, k)
 
   /** Full core decomposition by batched peeling: repeatedly remove every
     * vertex whose residual degree is <= the current level k (raising k to
@@ -41,31 +26,17 @@ object DistKCore {
     */
   def coreNumbers(spark: SparkSession, edges0: DataFrame): DataFrame = {
     import spark.implicits._
-    var edges = GraphDF.canonical(edges0).localCheckpoint(true)
-    var verts = GraphDF.vertices(edges).localCheckpoint(true)
-    var remaining = verts.count()
     var k = 0L
     var acc: DataFrame = Seq.empty[(Long, Long)].toDF("id", "core")
-    while (remaining > 0) {
-      val deg = verts
-        .join(GraphDF.degrees(edges), Seq("id"), "left")
-        .select(col("id"), coalesce(col("deg"), lit(0L)).as("deg"))
-        .localCheckpoint(true)
-      val minDeg = deg.agg(min("deg")).collect()(0).getLong(0)
-      if (minDeg > k) k = minDeg
-      val removed = deg.filter(col("deg") <= k).select("id").localCheckpoint(true)
-      acc = acc.union(removed.select(col("id"), lit(k).as("core"))).localCheckpoint(true)
-      verts = deg.filter(col("deg") > k).select("id").localCheckpoint(true)
-      edges = GraphDF.inducedEdges(edges, verts).localCheckpoint(true)
-      remaining -= removed.count()
+    GraphDF.peel(edges0, GraphDF.degrees) { r =>
+      k = math.max(k, r.minDeg)
+      acc = acc.union(r.degrees.filter(col("deg") <= k).select(col("id"), lit(k).as("core")))
+      Some(k.toDouble)
     }
     acc
   }
 
-  /** k_max and the k_max-core vertex set, via [[coreNumbers]]. */
-  def kMaxCore(spark: SparkSession, edges0: DataFrame): (Long, DataFrame) = {
-    val core = coreNumbers(spark, edges0).localCheckpoint(true)
-    val kMax = core.agg(max("core")).collect()(0).getLong(0)
-    (kMax, core.filter(col("core") === kMax).select("id"))
-  }
+  /** k_max and the k_max-core vertex set (the k_max rule of [[GraphDF.maxCore]]). */
+  def kMaxCore(spark: SparkSession, edges0: DataFrame): (Long, DataFrame) =
+    GraphDF.maxCore(edges0, GraphDF.degrees)
 }

@@ -43,6 +43,65 @@ object GraphDF {
       .select("src", "dst")
   }
 
+  /** One round of [[peel]]: `degrees` is the checkpointed `(id, deg)` frame
+    * of every live vertex (deg 0 once its edges are gone), and `n`, `degSum`
+    * and `minDeg` are its row count, Σdeg and minimum deg.
+    */
+  final case class Round(degrees: DataFrame, n: Long, degSum: Long, minDeg: Long)
+
+  /** Batched peeling (Bahmani, Kumar & Vassilvitskii, PVLDB 2012), the one
+    * pruning loop of `repro.dist`.
+    *
+    * Each round checkpoints `(id, deg)` for every live vertex, with `degree`
+    * (an `(id, count)` frame such as [[degrees]] or [[triangleDegrees]])
+    * taken on the residual edges, and reads n, Σdeg and min deg in one
+    * aggregate. `cut` returns a threshold t, and every vertex with deg ≤ t
+    * leaves, or `None` to stop. The induced edges are checkpointed once: a
+    * round is three Spark actions. Returns the live ids (`id`) at the round
+    * `cut` stops, or none once every vertex has left.
+    */
+  def peel(edges0: DataFrame, degree: DataFrame => DataFrame)(cut: Round => Option[Double]): DataFrame = {
+    var edges  = canonical(edges0).localCheckpoint(true)
+    var live   = vertices(edges)
+    var result = Option.empty[DataFrame]
+    while (result.isEmpty) {
+      val deg = live.join(degree(edges).toDF("id", "deg"), Seq("id"), "left")
+        .select(col("id"), coalesce(col("deg"), lit(0L)).as("deg"))
+        .localCheckpoint(true)
+      val s = deg.agg(count(lit(1)), sum("deg"), min("deg")).head()
+      val threshold = if (s.getLong(0) == 0) None
+                      else cut(Round(deg, s.getLong(0), s.getLong(1), s.getLong(2)))
+      threshold match {
+        case None => result = Some(deg.select("id"))
+        case Some(t) =>
+          live  = deg.filter(col("deg") > t).select("id")
+          edges = inducedEdges(edges, live).localCheckpoint(true)
+      }
+    }
+    result.get
+  }
+
+  /** The fixed-k rule: ids of the vertices left once every vertex with
+    * `degree` < k is pruned, round after round, until none is.
+    */
+  def coreAt(edges: DataFrame, degree: DataFrame => DataFrame, k: Long): DataFrame =
+    peel(edges, degree)(r => if (r.minDeg < k) Some(k - 1.0) else None)
+
+  /** The k_max rule: each round the level k rises to the minimum `degree`
+    * and every vertex with degree ≤ k leaves. Returns k_max and the ids of
+    * the k_max-core, the residual of the last round that raised k (of the
+    * first round if none did).
+    */
+  def maxCore(edges: DataFrame, degree: DataFrame => DataFrame): (Long, DataFrame) = {
+    var k    = 0L
+    var core = Option.empty[DataFrame]
+    val left = peel(edges, degree) { r =>
+      if (core.isEmpty || r.minDeg > k) { k = r.minDeg; core = Some(r.degrees) }
+      Some(k.toDouble)
+    }
+    (k, core.getOrElse(left).select("id"))
+  }
+
   /** Per-vertex triangle participation counts via DataFrame self-joins:
     * triangles are (a < b < c) with edges (a,b), (b,c), (a,c); each vertex of
     * a triangle gets credit once. Returns (id, tdeg) — vertices in no

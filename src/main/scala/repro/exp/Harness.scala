@@ -149,7 +149,7 @@ object Tables {
     val psi = Pattern.Triangle
     val rows = approxOn.map { nm =>
       val g = Datasets.load(nm).g
-      val nCC = g.componentVertexSets().size
+      val nCC = g.components(Array.range(0, g.n)).size
       val (kMax, coreVs, _) = CoreApp.kMaxCore(g, psi)
       val (_, tCoreApp)  = Harness.time(CoreApp.kMaxCore(g, psi))
       val (_, tPeel)     = Harness.time(PeelApp.run(g, psi))

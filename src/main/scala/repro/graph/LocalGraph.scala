@@ -1,6 +1,5 @@
 package repro.graph
 
-import org.apache.spark.sql.DataFrame
 import scala.collection.mutable
 
 /** Immutable undirected simple graph in CSR-like form.
@@ -72,40 +71,32 @@ final class LocalGraph(val ids: Array[Long], val adj: Array[Array[Int]]) extends
     (new LocalGraph(keepArr.map(ids), newAdj), keepArr)
   }
 
-  /** Connected-component id per vertex (ids are 0-based, arbitrary order). */
-  def connectedComponents(): Array[Int] = {
-    val comp  = Array.fill(n)(-1)
-    var next  = 0
-    val stack = new mutable.ArrayDeque[Int]()
-    var s = 0
-    while (s < n) {
-      if (comp(s) < 0) {
-        comp(s) = next
-        stack.append(s)
+  /** Connected components of the subgraph induced by `subset`, each a
+    * sorted array of local ids, in order of their first vertex in `subset`.
+    */
+  def components(subset: Array[Int]): Seq[Array[Int]] = {
+    val inSet = new Array[Boolean](n)
+    subset.foreach(inSet(_) = true)
+    val seen = new Array[Boolean](n)
+    val out  = mutable.ArrayBuffer.empty[Array[Int]]
+    subset.foreach { s =>
+      if (!seen(s)) {
+        val comp  = new mutable.ArrayBuilder.ofInt
+        val stack = new mutable.ArrayDeque[Int]()
+        seen(s) = true; stack.append(s)
         while (stack.nonEmpty) {
-          val u = stack.removeLast()
-          var i = 0
-          val a = adj(u)
-          while (i < a.length) {
-            if (comp(a(i)) < 0) { comp(a(i)) = next; stack.append(a(i)) }
-            i += 1
+          val v = stack.removeLast()
+          comp.addOne(v)
+          adj(v).foreach { w =>
+            if (inSet(w) && !seen(w)) { seen(w) = true; stack.append(w) }
           }
         }
-        next += 1
+        val c = comp.result()
+        java.util.Arrays.sort(c)
+        out += c
       }
-      s += 1
     }
-    comp
-  }
-
-  /** Vertex sets of the connected components, in local ids. */
-  def componentVertexSets(): Seq[Array[Int]] = {
-    val comp = connectedComponents()
-    val byC  = mutable.LinkedHashMap.empty[Int, mutable.ArrayBuilder.ofInt]
-    (0 until n).foreach { v =>
-      byC.getOrElseUpdate(comp(v), new mutable.ArrayBuilder.ofInt).addOne(v)
-    }
-    byC.values.map(_.result()).toSeq
+    out.toSeq
   }
 
   override def toString: String = s"LocalGraph(n=$n, m=$m)"
@@ -135,11 +126,5 @@ object LocalGraph {
       builders(u).addOne(v); builders(v).addOne(u)
     }
     new LocalGraph(ids, builders.map(_.result().sorted))
-  }
-
-  /** Collect an edge DataFrame (two integral columns: src, dst) to the driver. */
-  def fromDF(edges: DataFrame): LocalGraph = {
-    val pairs = edges.collect().map(r => (r.getLong(0), r.getLong(1)))
-    fromEdges(pairs)
   }
 }

@@ -92,7 +92,7 @@ class CoreExactSpec extends AnyFunSuite {
     val g = repro.graph.LocalGraph.fromEdges(
       (for (i <- 0 until 4; j <- (i + 1) until 4) yield (i.toLong, j.toLong)) ++
       (for (i <- 10 until 14; j <- (i + 1) until 14) yield (i.toLong, j.toLong)))
-    val comps = CoreExact.componentsWithin(g, (0 until g.n).toArray)
+    val comps = g.components((0 until g.n).toArray)
     assert(comps.size == 2)
     assert(comps.map(_.length).sorted == Seq(4, 4))
   }

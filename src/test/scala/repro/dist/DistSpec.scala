@@ -1,5 +1,8 @@
 package repro.dist
 
+import java.util.concurrent.atomic.AtomicInteger
+import org.apache.spark.ListenerBusAccess
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec, TestUtil}
 import repro.core.{CliqueCore, Densest, Exact, KCore}
@@ -155,6 +158,69 @@ class DistSpec extends SparkSpec {
       assert(rho + 1e-9 >= k / 3.0)
       assert(rho <= k + 1e-9)
     }
+  }
+
+  test("every dist entry point on an empty edge frame and on the path 1-2-3-4") {
+    import spark.implicits._
+    def ids(df: org.apache.spark.sql.DataFrame) = df.collect().map(_.getLong(0)).toSet
+    val empty = Seq.empty[(Long, Long)].toDF("src", "dst")
+    val path  = Seq((1L, 2L), (2L, 3L), (3L, 4L)).toDF("src", "dst")
+    val all   = Set(1L, 2L, 3L, 4L)
+
+    assert(ids(DistKCore.kCoreVertices(spark, empty, 1)).isEmpty)
+    assert(DistKCore.coreNumbers(spark, empty).collect().isEmpty)
+    val (k0, core0) = DistKCore.kMaxCore(spark, empty)
+    assert(k0 == 0L && ids(core0).isEmpty)
+    val eds0 = DistDensest.edsApprox(spark, empty)
+    assert(eds0.vertexIds.isEmpty && eds0.density == 0.0)
+    assert(DistDensest.triangleCoreVertices(spark, empty, 1L).isEmpty)
+    val (t0, tcore0) = DistDensest.triangleKMaxCore(spark, empty)
+    assert(t0 == 0L && tcore0.isEmpty)
+
+    assert(ids(DistKCore.kCoreVertices(spark, path, 1)) == all)
+    assert(ids(DistKCore.kCoreVertices(spark, path, 2)).isEmpty)
+    assert(DistKCore.coreNumbers(spark, path).collect()
+      .map(r => r.getLong(0) -> r.getLong(1)).toMap == all.map(_ -> 1L).toMap)
+    val (k, core) = DistKCore.kMaxCore(spark, path)
+    assert(k == 1L && ids(core) == all)
+    val eds = DistDensest.edsApprox(spark, path)
+    assert(eds.vertexIds.toSet == all && eds.density == 0.75)
+    assert(DistDensest.triangleCoreVertices(spark, path, 1L).isEmpty)
+    val (t, tcore) = DistDensest.triangleKMaxCore(spark, path)
+    assert(t == 0L && tcore.toSet == all)
+  }
+
+  test("edsApprox rejects a negative, infinite or NaN eps by value") {
+    import spark.implicits._
+    val k4 = (for (i <- 0L until 4L; j <- (i + 1) until 4L) yield (i, j)).toDF("src", "dst")
+    for (eps <- Seq(-0.5, Double.PositiveInfinity, Double.NaN)) {
+      val e = intercept[IllegalArgumentException](DistDensest.edsApprox(spark, k4, eps))
+      assert(e.getMessage.contains(eps.toString), e.getMessage)
+    }
+    assert(DistDensest.edsApprox(spark, k4, 0.0).density == 1.5)
+  }
+
+  test("kMaxCore runs at most three Spark jobs per peel round") {
+    import spark.implicits._
+    // a 20-vertex path: level 1 holds for 10 rounds, each peeling both ends
+    val path = (1L until 20L).map(v => (v, v + 1)).toDF("src", "dst")
+    val sc   = spark.sparkContext
+    val jobs = new AtomicInteger
+    val listener = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit =
+        if (!ListenerBusAccess.isMapStageJob(e)) jobs.incrementAndGet()
+    }
+    ListenerBusAccess.drain(sc)
+    sc.addSparkListener(listener)
+    try {
+      val (k, core) = DistKCore.kMaxCore(spark, path)
+      assert(k == 1L && core.collect().length == 20)
+      ListenerBusAccess.drain(sc)
+    } finally sc.removeSparkListener(listener)
+    // Jobs of actions: 3 per round, plus the input checkpoint, the final empty
+    // round and the collect above. The shuffles inside an action run as
+    // map-stage jobs of their own and are not counted.
+    assert(jobs.get <= 3 * 10 + 5, s"${jobs.get} Spark jobs for 10 peel rounds")
   }
 
   test("vertices() lists each endpoint once") {

@@ -71,26 +71,25 @@ class LocalGraphSpec extends AnyFunSuite {
 
   test("connected components: two triangles") {
     val g = LocalGraph.fromEdges(Seq((0L, 1L), (1L, 2L), (0L, 2L), (10L, 11L), (11L, 12L), (10L, 12L)))
-    val comp = g.connectedComponents()
-    assert(comp.distinct.length == 2)
-    val sets = g.componentVertexSets()
+    val sets = g.components(Array.range(0, g.n))
+    assert(sets.size == 2)
     assert(sets.map(_.length).sorted == Seq(3, 3))
   }
 
   test("connected components: path is one component") {
     val g = TestUtil.path(10)
-    assert(g.componentVertexSets().size == 1)
+    assert(g.components(Array.range(0, g.n)).size == 1)
   }
 
   test("isolated vertices are their own components") {
     val g = LocalGraph.fromEdges(Seq((0L, 1L)), Seq(5L, 6L))
-    assert(g.componentVertexSets().size == 3)
+    assert(g.components(Array.range(0, g.n)).size == 3)
   }
 
   test("empty graph") {
     val g = LocalGraph.fromEdges(Nil)
     assert(g.n == 0 && g.m == 0 && g.maxDegree == 0)
-    assert(g.componentVertexSets().isEmpty)
+    assert(g.components(Array.range(0, g.n)).isEmpty)
   }
 
   test("edgesExternal round-trips through fromEdges") {
