@@ -14,18 +14,31 @@ import repro.patterns.Pattern
   *  3. flow-network nodes pruned by Lemma 8, instances grouped by vertex set
   *     (construct+; skipped for cliques, which never share a vertex set);
   *  4. as the lower bound l grows, components shrink to the (⌈l⌉, Ψ)-core,
-  *     so later networks get smaller.
+  *     so later networks get smaller;
+  *  5. not in the paper: no network for a component whose load bound,
+  *     h·μ(S) = Σ_{v∈S} deg_S(v) ≤ |S|·maxDeg (Charikar's LP dual), shows
+  *     nothing denser than the best so far: maxDeg·|S_best| ≤ h·μ_best, in
+  *     integers. Not retested after a successful probe: a source side S
+  *     meeting it is maxDeg-regular, so it lies in the (maxDeg, Ψ)-core, a
+  *     peel residual at least as dense as S, and cannot have beaten ρ''.
   */
 object CoreExact {
 
   /** Instrumentation for Table 3 / Figure 9: per-probe network node and arc
-    * counts ([[repro.flow.Dinic.arcs]]), and Dinic phases over all probes. */
+    * counts ([[repro.flow.Dinic.arcs]]), and Dinic phases over all probes.
+    * Each of the `components` of the (k'', Ψ)-core is proved to hold nothing
+    * denser than the answer once: by the load bound before any network
+    * (item 5, `certifiedByBound`) or by a failed probe at α = ρ
+    * (`certifiedByCut`). */
   final case class Stats(coreDecompNanos: Long,
                          totalNanos: Long,
                          networkNodeCounts: Vector[Int],
                          probes: Int,
                          networkArcCounts: Vector[Long] = Vector.empty,
-                         augmentingPhases: Long = 0L)
+                         augmentingPhases: Long = 0L,
+                         certifiedByBound: Int = 0,
+                         certifiedByCut: Int = 0,
+                         components: Int = 0)
 
   def run(g: LocalGraph, psi: Pattern): Subgraph = runWithStats(g, psi)._1
 
@@ -86,6 +99,7 @@ object CoreExact {
     // positions in vs of the vertices of the (k, Ψ)-core
     def inCore(vs: Array[Int], k: Long): Array[Int] =
       java.util.stream.IntStream.range(0, vs.length).filter(i => core(vs(i)) >= k).toArray
+    var byBound, byCut = 0
     comps.indices.foreach { c =>
       val cc = comps(c)
       // shrink to the (⌈ρ⌉, Ψ)-core of the best density ρ so far if it exceeds k''
@@ -96,20 +110,20 @@ object CoreExact {
           val keep = inCore(cc, shrinkK)
           (keep.map(cc), Densest.restrict(parts(c), cc.length, keep))
         }
-      if (cv.length >= h) {
+      val b = search.best
+      if (Densest.maxDegree(local, cv.length) * b.size <= h.toLong * b.instances) byBound += 1 // Optimization 5
+      else {
+        byCut += 1
         search.on(cv, local)
-        search.climb(search.best.density, (found, vs) =>
-          // Optimization 4: locate the CDS in a higher core as ρ grows.
+        search.climb(b.density, (found, vs) =>
+          // Optimization 4: locate the CDS in a higher core as ρ grows (it
+          // holds vs's densest subgraph, as dense as found or denser)
           if (ceilDensity(found) <= shrinkK) vs.indices.toArray
-          else {
-            shrinkK = ceilDensity(found)
-            val keep = inCore(vs, shrinkK)
-            if (keep.length < h) Array.emptyIntArray else keep
-          })
+          else { shrinkK = ceilDensity(found); inCore(vs, shrinkK) })
       }
     }
     (search.best, Stats(tCore, System.nanoTime() - t0, search.nodeCounts.result(), search.probes,
-                        search.arcCounts.result(), search.phases))
+                        search.arcCounts.result(), search.phases, byBound, byCut, comps.length))
   }
 
 }

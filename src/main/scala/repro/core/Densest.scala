@@ -40,6 +40,14 @@ object Densest {
     c
   }
 
+  /** The largest number of instances one vertex of 0 until n lies in. */
+  def maxDegree(instances: Array[Array[Int]], n: Int): Long = {
+    val deg = new Array[Int](n)
+    var max = 0
+    instances.foreach(_.foreach { v => deg(v) += 1; max = math.max(max, deg(v)) })
+    max
+  }
+
   /** The instances inside `vs`, renumbered to positions in `vs` and sorted. */
   def restrict(instances: Array[Array[Int]], n: Int, vs: Array[Int]): Array[Array[Int]] =
     partition(instances, n, Seq(vs))(0)

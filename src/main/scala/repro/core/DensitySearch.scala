@@ -51,18 +51,14 @@ private[core] final class DensitySearch(network: (Int, Array[Array[Int]]) => Den
     * optimum, so that a failed first probe offers an optimum to `best`.
     * After each success `shrink(S, verts)` gives the positions in `verts` to
     * go on with, ascending: fewer rebuild the network on their own
-    * instances, none ends the search.
+    * instances.
     */
   def climb(l0: Double, shrink: (Subgraph, Array[Int]) => Array[Int] = (_, vs) => vs.indices.toArray): Unit = {
     var found = probe(l0)
     while (found.nonEmpty) {
       val keep = shrink(found.get, verts)
-      found =
-        if (keep.isEmpty) None
-        else {
-          if (keep.length != verts.length) on(keep.map(verts), Densest.restrict(local, verts.length, keep))
-          probe(found.get.density)
-        }
+      if (keep.length != verts.length) on(keep.map(verts), Densest.restrict(local, verts.length, keep))
+      found = probe(found.get.density)
     }
   }
 }

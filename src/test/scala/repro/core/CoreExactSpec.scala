@@ -64,9 +64,13 @@ class CoreExactSpec extends AnyFunSuite {
   }
 
   test("stats: flow networks shrink as the binary search narrows (planted clique)") {
+    // a hub-haloed K8 with a K9 hanging off it, joined to a power-law graph:
+    // the hubs keep the load bound open, so the flow search runs
     val base = SynthGraphs.powerLaw(300, 700, 2.5, 5)
-    val g    = SynthGraphs.plantClique(base, 10, 5)
+    val g    = LocalGraph.fromEdges(base.edgesExternal ++ (component(1, 8, Seq.fill(4)(6) ++ Seq.fill(4)(4),
+                 Seq(9), 0, new Random(5), hubs = true) :+ ((0L, 1000L))), base.ids)
     val (_, st) = CoreExact.runWithStats(g, Pattern.Triangle)
+    assert(st.probes >= 2)
     if (st.networkNodeCounts.size >= 2)
       assert(st.networkNodeCounts.last <= st.networkNodeCounts.head)
     // the first network must already be far smaller than n + #triangles
@@ -116,14 +120,61 @@ class CoreExactSpec extends AnyFunSuite {
     assert(math.abs(r.density - 20.0 / 6) < 1e-9) // C(6,3)/6
   }
 
-  test("stats: arc counts follow the network's arc formula (K6, edge)") {
-    // s→v for the 6 vertices, v→t for the 6, and 2·h arcs for each of the 15
-    // edge groups; nodes: 6 vertices, 15 groups, s and t
-    val (_, st) = CoreExact.runWithStats(TestUtil.complete(6), Pattern.Edge)
+  test("stats: arc counts follow the network's arc formula (K6 minus an edge, edge)") {
+    // s→v for the 6 vertices, v→t for the 6, and 2·h arcs for each of the 14
+    // edge groups; nodes: 6 vertices, 14 groups, s and t. The load bound
+    // leaves it open: max degree 5, and 5·6 > 2·14.
+    val g = LocalGraph.fromEdges(for (u <- 0 until 6; v <- u + 1 until 6 if u > 0 || v > 1) yield (u.toLong, v.toLong))
+    val (_, st) = CoreExact.runWithStats(g, Pattern.Edge)
     assert(st.probes == 1)
-    assert(st.networkNodeCounts == Vector(6 + 15 + 2))
-    assert(st.networkArcCounts == Vector(6L + 6 + 2 * 2 * 15))
+    assert(st.networkNodeCounts == Vector(6 + 14 + 2))
+    assert(st.networkArcCounts == Vector(6L + 6 + 2 * 2 * 14))
     assert(st.augmentingPhases > 0)
+  }
+
+  test("load bound: K6 (edge) needs no probe, max degree 5 against ρ = 15/6 with h = 2") {
+    val (r, st) = CoreExact.runWithStats(TestUtil.complete(6), Pattern.Edge)
+    assert(r.size == 6 && r.instances == 15L)
+    assert(st.probes == 0 && st.networkNodeCounts.isEmpty)
+    assert(st.certifiedByBound == 1 && st.certifiedByCut == 0 && st.components == 1)
+  }
+
+  test("load bound: a component one unit above it is searched, and its flow finds a denser subgraph") {
+    // S' (ids 0..6): 7 vertices, 10 edges, degrees 3 but for vertex 6 (2),
+    // which a cycle on 10..15 joins; S_A (ids 100..104): K4 minus an edge
+    // plus a vertex on the two ends of the missing edge, 7 edges on 5; and a
+    // 20-cycle. The peel removes S' before S_A and the 20-cycle, so no
+    // residual beats 7/5, and Pruning 2 finds S_A (the S' component is
+    // diluted by its cycle). S''s component then has max degree 3:
+    // 3·5 = 2·7 + 1, one unit above the bound, and the flow finds ρ(S') = 10/7.
+    def cycle(ids: Seq[Long]) = ids.indices.map(i => (ids(i), ids((i + 1) % ids.length)))
+    val g = LocalGraph.fromEdges(
+      Seq((0L, 1L), (1L, 2L), (2L, 3L), (3L, 4L), (4L, 5L), (5L, 0L), (1L, 4L), (2L, 5L), (6L, 0L), (6L, 3L), (6L, 10L)) ++
+      cycle(10L to 15L) ++
+      Seq((100L, 101L), (100L, 102L), (100L, 103L), (101L, 102L), (101L, 103L), (104L, 102L), (104L, 103L)) ++
+      cycle(200L until 220L))
+    val (r, st) = CoreExact.runWithStats(g, Pattern.Edge)
+    assert(r.instances == 10L && r.externalIds(g).sorted.sameElements(0L to 6L))
+    assert(Exact.run(g, Pattern.Edge).density == r.density)
+    assert(st.certifiedByCut == 2 && st.certifiedByBound == 1 && st.components == 3)
+  }
+
+  for ((p, nm) <- patterns) {
+    test(s"CoreExact equals Exact and brute force, one certificate per component (Ψ=$nm)") {
+      for (seed <- 20 to 39) {
+        // two random parts, so the core often splits into components
+        val a  = TestUtil.randomGraph(7, 0.55, seed)
+        val b  = TestUtil.randomGraph(7, 0.55, seed + 100)
+        val g  = LocalGraph.fromEdges(a.edgesExternal ++ b.edgesExternal.map { case (u, v) => (u + 7, v + 7) },
+                                      0L until 14L)
+        val bf = Densest.bruteForce(g, p)
+        val ex = Exact.run(g, p)
+        val (r, st) = CoreExact.runWithStats(g, p)
+        assert(math.abs(r.density - bf.density) < 1e-9 && math.abs(ex.density - bf.density) < 1e-9,
+          s"seed=$seed coreexact=${r.density} exact=${ex.density} brute=${bf.density}")
+        assert(st.certifiedByBound + st.certifiedByCut == st.components, s"seed=$seed $st")
+      }
+    }
   }
 
   test("stats: one node count, one arc count per probe") {
@@ -132,15 +183,17 @@ class CoreExactSpec extends AnyFunSuite {
   }
 
   /** Component i of a planted union: a clique K_a; satellites, the t-th
-    * joined to sats(t) random clique vertices; junk cliques, each joined to
-    * the clique by one edge; and `noise` random edges over the component.
-    * Its vertices get the ids 1000·i + 0 until its size, in random order. */
+    * joined to sats(t) random clique vertices (with `hubs`, to clique
+    * vertices 0 until sats(t), so a few hubs carry them all); junk cliques,
+    * each joined to the clique by one edge; and `noise` random edges over the
+    * component. Its vertices get the ids 1000·i + 0 until its size, in random
+    * order. */
   private def component(i: Int, a: Int, sats: Seq[Int], junk: Seq[Int], noise: Int,
-                        rnd: Random): Seq[(Long, Long)] = {
+                        rnd: Random, hubs: Boolean = false): Seq[(Long, Long)] = {
     val e = scala.collection.mutable.ArrayBuffer.empty[(Long, Long)]
     for (u <- 0 until a; v <- u + 1 until a) e += ((u, v))
     sats.zipWithIndex.foreach { case (s, t) =>
-      rnd.shuffle((0 until a).toList).take(s).foreach(c => e += ((c, a + t)))
+      (if (hubs) (0 until s).toList else rnd.shuffle((0 until a).toList).take(s)).foreach(c => e += ((c, a + t)))
     }
     var j0 = a + sats.length
     junk.zipWithIndex.foreach { case (j, x) =>
@@ -161,13 +214,14 @@ class CoreExactSpec extends AnyFunSuite {
     * denser-degree junk, so ρ'' stays low); a 15-clique with junk cliques
     * K_4..K_15 hanging off it, whose core numbers span the range between k''
     * and that lifted bound; and the CDS, a 16-clique with `lastSats` and
-    * `lastJunk`. */
-  private def plantedUnion(seed: Int, lastSats: Seq[Int], lastJunk: Seq[Int]): LocalGraph = {
+    * `lastJunk`, its satellites on hubs if `lastHubs`. */
+  private def plantedUnion(seed: Int, lastSats: Seq[Int], lastJunk: Seq[Int],
+                           lastHubs: Boolean = false): LocalGraph = {
     val rnd = new Random(seed)
     LocalGraph.fromEdges(
       component(0, 16, Seq.fill(14)(11), Seq(15, 15), 5, rnd) ++
       component(1, 15, Nil, 4 to 15, 0, rnd) ++
-      component(2, 16, lastSats, lastJunk, 5, rnd))
+      component(2, 16, lastSats, lastJunk, 5, rnd, lastHubs))
   }
 
   private val unionPatterns = Seq((Pattern.Edge, "edge"), (Pattern.Triangle, "triangle"),
@@ -177,10 +231,13 @@ class CoreExactSpec extends AnyFunSuite {
   // their (⌈l⌉, Ψ)-cores before their networks are built, the CDS component
   // losing its low junk cliques; (b) haloed CDS: 14 satellites of 14 plus 10
   // of 10, so a probe finds the halo first and a later one shrinks the
-  // network to a higher core (Optimization 4)
-  for ((kind, sats, junk, seeds) <- Seq(
-         ("later components pre-filtered", Seq.fill(14)(12), Seq(15, 15) ++ (4 to 14), Seq(1, 2, 4, 7)),
-         ("haloed CDS, network shrinks", Seq.fill(14)(14) ++ Seq.fill(10)(10), Seq(17, 17), Seq(1, 2, 4, 6)));
+  // network to a higher core (Optimization 4). The satellites spread the load
+  // of (b)'s clique evenly, so once a probe or two has lifted ρ the load bound
+  // closes what is left without a network: (b) checks answers, and the
+  // hub-haloed inputs below check that the search runs.
+  for ((kind, sats, junk, seeds, searches) <- Seq(
+         ("later components pre-filtered", Seq.fill(14)(12), Seq(15, 15) ++ (4 to 14), Seq(1, 2, 4, 7), true),
+         ("haloed CDS, network shrinks", Seq.fill(14)(14) ++ Seq.fill(10)(10), Seq(17, 17), Seq(1, 2, 4, 6), false));
        seed <- seeds; (p, nm) <- unionPatterns) {
     test(s"CoreExact equals Exact on planted cliques, CDS in the last component: $kind (Ψ=$nm, seed=$seed)") {
       val g        = plantedUnion(seed, sats, junk)
@@ -189,23 +246,52 @@ class CoreExactSpec extends AnyFunSuite {
       assert(math.abs(ce.density - ex.density) < 1e-9, s"coreexact=${ce.density} exact=${ex.density}")
       assert(ce.vertices.sorted.sameElements(ex.vertices.sorted))
       assert(ce.externalIds(g).forall(_ >= 2000L), "the CDS lies in the component searched last")
-      assert(st.probes > 3, "ρ'' < ρ_opt: the binary search runs")
+      if (searches) assert(st.probes > 3, "ρ'' < ρ_opt: the binary search runs")
+    }
+  }
+
+  // Hub-haloed CDS: the satellites of the CDS component all join the same
+  // clique vertices, so these hubs' load stays far above every density and
+  // the load bound cannot close the component. With (a)'s satellites and junk
+  // the component is pre-filtered; with six satellites on each of 15, 14, …,
+  // 6 hubs and two K17 a probe finds the halo first and the next ones shrink
+  // the network (Optimization 4).
+  for ((kind, sats, junk, pats) <- Seq(
+         ("later components pre-filtered", Seq.fill(14)(12), Seq(15, 15) ++ (4 to 14), unionPatterns.take(3)),
+         ("network shrinks", (15 to 6 by -1).flatMap(Seq.fill(6)(_)), Seq(17, 17), unionPatterns.take(2)));
+       seed <- Seq(1, 2, 4, 6); (p, nm) <- pats) {
+    test(s"CoreExact equals Exact on planted cliques, hub-haloed CDS in the last component: $kind (Ψ=$nm, seed=$seed)") {
+      val g        = plantedUnion(seed, sats, junk, lastHubs = true)
+      val (ce, st) = CoreExact.runWithStats(g, p)
+      val ex       = Exact.run(g, p)
+      assert(math.abs(ce.density - ex.density) < 1e-9, s"coreexact=${ce.density} exact=${ex.density}")
+      assert(ce.vertices.sorted.sameElements(ex.vertices.sorted))
+      assert(ce.externalIds(g).forall(_ >= 2000L), "the CDS lies in the component searched last")
+      assert(st.probes > 3, "ρ'' < ρ_opt: the search runs")
     }
   }
 
   // Same-search guard: probes and every network's node and arc count of
-  // CoreExact on one SSCA stand-in, as commit 5f2f37f produced them. A
+  // CoreExact on three hub-haloed cliques, as the search produced them before
+  // the load bound. The hubs keep the bound from firing on this input, so a
   // change to the flow or search layers that keeps the search must keep these.
   for ((p, nm, probes, nodes, arcs) <- Seq(
-         (Pattern.Edge, "edge", 7, Vector(1228, 1240, 173, 155, 93, 93, 247),
-          Vector(4622L, 4682L, 648L, 578L, 338L, 338L, 920L)),
-         (Pattern.Triangle, "triangle", 7, Vector(5071, 5594, 836, 699, 301, 301, 998),
-          Vector(29942L, 33060L, 4932L, 4114L, 1742L, 1742L, 5856L)),
-         (Pattern.Clique(4), "4-clique", 5, Vector(17769, 20787, 3080, 2399, 2399),
-          Vector(141506L, 165542L, 24516L, 19074L, 19074L)))) {
-    test(s"same search as before on SSCA (scale 0.005, seed 16): probes and network sizes (Ψ=$nm)") {
-      val g       = SynthGraphs.standIn("SSCA", 0.005, 16).g
+         (Pattern.Edge, "edge", 6, Vector(630, 727, 727, 990, 906, 906),
+          Vector(2384L, 2760L, 2760L, 3778L, 3456L, 3456L)),
+         (Pattern.Triangle, "triangle", 6, Vector(2694, 3348, 3348, 4876, 4474, 4474),
+          Vector(15912L, 19812L, 19812L, 28924L, 26536L, 26536L)),
+         (Pattern.Clique(4), "4-clique", 4, Vector(8405, 11064, 17518, 17518),
+          Vector(66882L, 88124L, 139684L, 139684L)))) {
+    test(s"same search as before on three hub-haloed cliques (seed 16): probes and network sizes (Ψ=$nm)") {
+      val four    = (15 to 8 by -1).flatMap(Seq.fill(4)(_))
+      val six     = (15 to 6 by -1).flatMap(Seq.fill(6)(_))
+      val rnd     = new Random(16)
+      val g       = LocalGraph.fromEdges(
+        component(0, 14, four, Seq(15, 15), 5, rnd, hubs = true) ++
+        component(1, 16, four, Seq(17, 17), 5, rnd, hubs = true) ++
+        component(2, 18, six, Seq(19, 19), 5, rnd, hubs = true))
       val (_, st) = CoreExact.runWithStats(g, p)
+      assert(st.certifiedByBound == 0)
       assert(st.probes == probes)
       assert(st.networkNodeCounts == nodes)
       assert(st.networkArcCounts == arcs)
