@@ -7,16 +7,14 @@ import repro.patterns.Pattern
   *
   * Removes the minimum-Ψ-degree vertex n times, recording the density of
   * every residual graph; returns the densest residual. 1/|V_Ψ|-approximation
-  * (Lemma 11). The peel itself is shared with the decomposition code — the
-  * extra work PeelApp does over IncApp is exactly the density bookkeeping.
+  * (Lemma 11). The peel itself is shared with the decomposition code, which
+  * counts μ of every residual as it goes, so the answer is not recounted.
   */
 object PeelApp {
   def run(g: LocalGraph, psi: Pattern): Subgraph = {
     val instances = psi.instances(g)
-    if (instances.isEmpty) return Subgraph(if (g.n > 0) Array(0) else Array.empty, 0L, 0.0)
-    val dec  = CliqueCore.decomposeInstances(g.n, instances)
-    val s    = dec.bestResidualVertices
-    Densest.subgraphOf(instances, g.n, s)
+    if (instances.isEmpty) return Subgraph.none(g)
+    CliqueCore.decomposeInstances(g.n, instances).bestResidual
   }
 }
 
@@ -26,7 +24,7 @@ object PeelApp {
 object IncApp {
   def run(g: LocalGraph, psi: Pattern): Subgraph = {
     val instances = psi.instances(g)
-    if (instances.isEmpty) return Subgraph(if (g.n > 0) Array(0) else Array.empty, 0L, 0.0)
+    if (instances.isEmpty) return Subgraph.none(g)
     val dec = CliqueCore.decomposeInstances(g.n, instances)
     Densest.subgraphOf(instances, g.n, dec.kMaxCoreVertices)
   }

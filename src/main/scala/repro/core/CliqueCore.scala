@@ -13,8 +13,8 @@ import scala.collection.mutable
   * numbers are those of the paper's re-enumeration variant, with the same
   * worst-case complexity (see DESIGN.md "Deviations").
   *
-  * The peel also records, for every prefix of removals, the density of the
-  * residual graph — this yields ρ' for CoreExact's Pruning 1 and the best
+  * The peel also records, for every prefix of removals, μ and the density of
+  * the residual graph — this yields ρ' for CoreExact's Pruning 1 and the best
   * residual subgraph S* for PeelApp at no extra asymptotic cost.
   */
 object CliqueCore {
@@ -24,16 +24,20 @@ object CliqueCore {
     * @param core          clique-core number per local vertex id
     * @param order         vertices in peel (removal) order
     * @param totalInstances μ(G, Ψ)
-    * @param bestDensity   ρ': max Ψ-density over all residual subgraphs
+    * @param bestInstances μ of the densest residual subgraph
     * @param bestSuffix    index into `order` such that order[bestSuffix..] is
     *                      the densest residual subgraph (PeelApp's S*)
     */
   final case class Result(core: Array[Long],
                           order: Array[Int],
                           totalInstances: Long,
-                          bestDensity: Double,
+                          bestInstances: Long,
                           bestSuffix: Int) {
     def kMax: Long = if (core.isEmpty) 0L else core.max
+
+    /** ρ': max Ψ-density over all residual subgraphs. */
+    def bestDensity: Double =
+      if (order.isEmpty) 0.0 else bestInstances.toDouble / (order.length - bestSuffix)
 
     /** Vertices (local ids) of the (k, Ψ)-core. */
     def coreVertices(k: Long): Array[Int] = {
@@ -48,6 +52,9 @@ object CliqueCore {
 
     /** Vertices of the densest residual subgraph (PeelApp's S*). */
     def bestResidualVertices: Array[Int] = order.drop(bestSuffix)
+
+    /** The densest residual subgraph, μ as the peel counted it. */
+    def bestResidual: Subgraph = Subgraph(bestResidualVertices, bestInstances, bestDensity)
   }
 
   /** Decompose `g` w.r.t. pattern `psi`. */

@@ -1,14 +1,15 @@
 package repro.core
 
 import repro.graph.LocalGraph
-import repro.patterns.{Combinatorics, Pattern}
+import repro.patterns.{Combinatorics, Pattern, SpecialCores}
 
 /** CoreApp (Algorithm 6): compute the (k_max, Ψ)-core top-down.
   *
   * Sort vertices by a cheap upper bound γ(v, Ψ) ≥ core_G(v, Ψ); run the
   * decomposition on subgraphs induced by the top-γ vertex set W, doubling
   * |W| until every vertex outside W has γ below the best k_max seen — at
-  * that point the k_max-core of G[W] is the k_max-core of G.
+  * that point the k_max-core of G[W] is the k_max-core of G. [[EMcore]] is
+  * the same search with another bound and growth rule ([[topDown]]).
   *
   * γ choices (Section 6.2): for h-cliques with h >= 3, γ(v) = C(x, h-1)
   * where x is v's CLASSICAL core number; for edges, γ(v) = deg_G(v); for
@@ -20,68 +21,70 @@ object CoreApp {
 
   /** Upper bound γ(v, Ψ) on the clique/pattern-core number of every vertex. */
   def gamma(g: LocalGraph, psi: Pattern): Array[Long] = psi match {
-    case Pattern.Clique(2)          => Array.tabulate(g.n)(v => g.degree(v).toLong)
-    case Pattern.Clique(h)          =>
+    case Pattern.Clique(2) => Array.tabulate(g.n)(v => g.degree(v).toLong)
+    case Pattern.Clique(h) =>
       val core = KCore.decompose(g).core
       Array.tabulate(g.n)(v => Combinatorics.choose(core(v), h - 1))
-    case Pattern.Star(_) | Pattern.Diamond => psi.degrees(g) // closed form, O(n·d^2)
-    case _                          => psi.degrees(g)
+    case _                 => psi.degrees(g) // closed form for stars and the diamond, O(n·d^2)
   }
 
   def run(g: LocalGraph, psi: Pattern): Subgraph = {
     val (_, verts, inst) = kMaxCore(g, psi)
-    if (verts.isEmpty) return Subgraph(if (g.n > 0) Array(0) else Array.empty, 0L, 0.0)
-    Subgraph(verts, inst, inst.toDouble / verts.length)
+    if (verts.isEmpty) Subgraph.none(g) else Subgraph(verts, inst, inst.toDouble / verts.length)
   }
 
   /** Returns (k_max, vertex set of the (k_max, Ψ)-core in g-local ids,
     * μ of that core).
     */
   def kMaxCore(g: LocalGraph, psi: Pattern): (Long, Array[Int], Long) = {
-    val n = g.n
-    if (n == 0) return (0L, Array.empty, 0L)
-    val gam   = gamma(g, psi)
-    val order = (0 until n).sortBy(v => -gam(v)).toArray
+    val (kMax, core) = topDown(g, psi, gamma(g, psi), math.max(16, 2 * psi.numVertices), 2 * _)
+    // counted once, on the answer: a star peel's running μ saturates
+    (kMax, core, psi.count(g.induced(core)))
+  }
 
-    var w     = math.min(n, math.max(16, 2 * psi.numVertices))
+  /** The top-down search: sort the vertices by `bound` (an upper bound on
+    * their Ψ-core numbers, highest first), decompose G[W] for the first |W|
+    * of them, starting at |W| = `w0` and growing it by `grow`, until every
+    * vertex outside W has a bound below the best k_max seen. Returns
+    * (k_max, the (k_max, Ψ)-core in g-local ids).
+    */
+  private[core] def topDown(g: LocalGraph, psi: Pattern, bound: Array[Long],
+                            w0: Int, grow: Int => Int): (Long, Array[Int]) = {
+    val n     = g.n
+    val order = (0 until n).sortBy(v => -bound(v)).toArray
+    var w     = math.min(n, w0)
     var kMax  = 0L
-    var bestVs  = Array.empty[Int] // in g-local ids
-    var bestMu  = 0L
+    var best  = Array.empty[Int] // in g-local ids
     var done  = false
     while (!done) {
-      val wVerts = order.take(w)
-      val (sub, backMap) = g.inducedWithMap(wVerts) // external ids preserved
-      // For edges the classical O(m) bin-sort decomposition IS the
-      // (k, Ψ)-core decomposition; stars and the diamond use the Appendix-D
-      // closed-form peel — neither materializes instances.
-      val (subKMax, coreLocal, mu) = psi match {
-        case Pattern.Clique(2) =>
-          val dec  = KCore.decompose(sub)
-          val core = dec.coreVertices(dec.kMax)
-          (dec.kMax.toLong, core, sub.induced(core).m)
-        case Pattern.Star(x) =>
-          val dec  = repro.patterns.SpecialCores.decomposeStar(sub, x)
-          val core = dec.kMaxCoreVertices
-          (dec.kMax, core, psi.count(sub.induced(core)))
-        case Pattern.Diamond =>
-          val dec  = repro.patterns.SpecialCores.decomposeDiamond(sub)
-          val core = dec.kMaxCoreVertices
-          (dec.kMax, core, psi.count(sub.induced(core)))
-        case _ =>
-          val inst = psi.instances(sub)
-          val dec  = CliqueCore.decomposeInstances(sub.n, inst)
-          val core = dec.kMaxCoreVertices
-          (dec.kMax, core, Densest.countWithin(inst, sub.n, core))
-      }
+      val (sub, backMap) = g.inducedWithMap(order.take(w)) // external ids preserved
+      val (subKMax, core) = kMaxCoreOf(sub, psi)
       if (subKMax >= kMax) {
         kMax = subKMax
-        bestVs = coreLocal.map(backMap)
-        bestMu = mu
+        best = core.map(backMap)
       }
-      // stopping criterion (line 4): every vertex outside W has γ < k_max
-      done = w >= n || gam(order(w)) < kMax
-      if (!done) w = math.min(n, 2 * w)
+      // stopping criterion (line 4): every vertex outside W has a bound < k_max
+      done = w >= n || bound(order(w)) < kMax
+      if (!done) w = math.min(n, grow(w))
     }
-    (kMax, bestVs, bestMu)
+    (kMax, best)
+  }
+
+  /** (k_max, (k_max, Ψ)-core) of `g` by a full decomposition. For edges the
+    * classical O(m) bin-sort decomposition IS the (k, Ψ)-core decomposition;
+    * stars and the diamond use the Appendix-D closed-form peel — neither
+    * materializes instances.
+    */
+  private def kMaxCoreOf(g: LocalGraph, psi: Pattern): (Long, Array[Int]) = psi match {
+    case Pattern.Clique(2) =>
+      val dec = KCore.decompose(g)
+      (dec.kMax.toLong, dec.coreVertices(dec.kMax))
+    case _ =>
+      val dec = psi match {
+        case Pattern.Star(x)  => SpecialCores.decomposeStar(g, x)
+        case Pattern.Diamond  => SpecialCores.decomposeDiamond(g)
+        case _                => CliqueCore.decompose(g, psi)
+      }
+      (dec.kMax, dec.kMaxCoreVertices)
   }
 }

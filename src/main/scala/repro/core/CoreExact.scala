@@ -43,16 +43,13 @@ object CoreExact {
   def run(g: LocalGraph, psi: Pattern): Subgraph = runWithStats(g, psi)._1
 
   def runWithStats(g: LocalGraph, psi: Pattern): (Subgraph, Stats) = {
-    val t0 = System.nanoTime()
-    val n  = g.n
-    if (n == 0)
-      return (Subgraph(Array.empty, 0L, 0.0), Stats(0, System.nanoTime() - t0, Vector.empty, 0))
-
+    val t0        = System.nanoTime()
+    val n         = g.n
     val instances = psi.instances(g)
     val dec       = CliqueCore.decomposeInstances(n, instances)
     val tCore     = System.nanoTime() - t0
     if (instances.isEmpty)
-      return (Subgraph(Array(0), 0L, 0.0), Stats(tCore, System.nanoTime() - t0, Vector.empty, 0))
+      return (Subgraph.none(g), Stats(tCore, System.nanoTime() - t0, Vector.empty, 0))
 
     val h    = psi.numVertices
     val core = dec.core
@@ -61,7 +58,7 @@ object CoreExact {
     def ceilDensity(s: Subgraph): Long = (s.instances + s.size - 1) / s.size
 
     // Pruning 1: ρ' from the residual subgraphs of the decomposition.
-    var best    = Densest.subgraphOf(instances, n, dec.bestResidualVertices)
+    var best    = dec.bestResidual
     val kPrime  = math.max(1L, ceilDensity(best))
     val kpVerts = dec.coreVertices(kPrime)
 

@@ -13,6 +13,13 @@ final case class Subgraph(vertices: Array[Int], instances: Long, density: Double
   def externalIds(g: LocalGraph): Array[Long] = vertices.map(g.ids)
 }
 
+object Subgraph {
+
+  /** The answer on a graph with no instances: density 0 on vertex 0, or on
+    * no vertex if `g` is empty. */
+  def none(g: LocalGraph): Subgraph = Subgraph(if (g.n > 0) Array(0) else Array.empty, 0L, 0.0)
+}
+
 /** Shared helpers for the densest-subgraph algorithms. */
 object Densest {
 

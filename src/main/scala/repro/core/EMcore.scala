@@ -1,47 +1,30 @@
 package repro.core
 
 import repro.graph.LocalGraph
+import repro.patterns.Pattern
 
 /** EMcore (Cheng et al., ICDE'11), adapted as in Section 8: runs in main
   * memory and stops once the classical k_max-core is found.
   *
-  * Like CoreApp it works top-down over subgraphs induced by high-degree
-  * vertices, but it differs in the two ways the paper calls out: the upper
-  * bound on a vertex's core number is its DEGREE (not a core-based bound),
-  * and the candidate subgraph grows ADDITIVELY in fixed-size blocks (not by
-  * doubling). Edge-based k-cores only.
+  * It is CoreApp's top-down search ([[CoreApp.topDown]]) with the two
+  * differences the paper calls out: the upper bound on a vertex's core
+  * number is its DEGREE (not a core-based bound), and the candidate subgraph
+  * grows ADDITIVELY in fixed-size blocks (not by doubling). Edge-based
+  * k-cores only.
   */
 object EMcore {
 
   /** Returns (k_max, vertex set of the k_max-core in g-local ids). */
   def kMaxCore(g: LocalGraph): (Int, Array[Int]) = {
-    val n = g.n
-    if (n == 0) return (0, Array.empty)
-    val deg   = Array.tabulate(n)(g.degree)
-    val order = (0 until n).sortBy(v => -deg(v)).toArray
-    val block = math.max(16, n / 8)
-
-    var w      = math.min(n, block)
-    var kMax   = 0
-    var bestVs = Array.empty[Int]
-    var done   = false
-    while (!done) {
-      val wVerts = order.take(w)
-      val (sub, backMap) = g.inducedWithMap(wVerts)
-      val dec    = KCore.decompose(sub)
-      if (dec.kMax >= kMax) {
-        kMax = dec.kMax
-        bestVs = dec.coreVertices(dec.kMax).map(backMap)
-      }
-      done = w >= n || deg(order(w)) < kMax
-      if (!done) w = math.min(n, w + block)
-    }
-    (kMax, bestVs)
+    val block     = math.max(16, g.n / 8)
+    val deg       = Array.tabulate(g.n)(g.degree(_).toLong)
+    val (k, core) = CoreApp.topDown(g, Pattern.Edge, deg, block, _ + block)
+    (k.toInt, core)
   }
 
   def run(g: LocalGraph): Subgraph = {
     val (_, vs) = kMaxCore(g)
-    if (vs.isEmpty) return Subgraph(if (g.n > 0) Array(0) else Array.empty, 0L, 0.0)
+    if (vs.isEmpty) return Subgraph.none(g)
     val sub = g.induced(vs)
     Subgraph(vs, sub.m, sub.m.toDouble / vs.length)
   }

@@ -66,7 +66,7 @@ object NucleusAND {
   /** The (k_max, Ψ)-core computed via the nucleus route. */
   def run(g: LocalGraph, psi: Pattern): Subgraph = {
     val instances = psi.instances(g)
-    if (instances.isEmpty) return Subgraph(if (g.n > 0) Array(0) else Array.empty, 0L, 0.0)
+    if (instances.isEmpty) return Subgraph.none(g)
     val core = coreNumbersFromInstances(g.n, instances)
     val kMax = core.max
     val vs   = core.indices.filter(core(_) >= kMax).toArray

@@ -49,6 +49,7 @@ abstract class Peel(deg: Array[Long]) {
     val order       = new Array[Int](n)
     var k           = 0L
     var bestDensity = if (n == 0) 0.0 else mu0.toDouble / n
+    var bestMu      = mu0
     var bestSuffix  = 0
     var done        = 0
     while (done < n) {
@@ -63,10 +64,10 @@ abstract class Peel(deg: Array[Long]) {
       done += 1
       if (done < n) {
         val dens = mu.toDouble / (n - done)
-        if (dens > bestDensity) { bestDensity = dens; bestSuffix = done }
+        if (dens > bestDensity) { bestDensity = dens; bestMu = mu; bestSuffix = done }
       }
     }
-    CliqueCore.Result(core, order, mu0, bestDensity, bestSuffix)
+    CliqueCore.Result(core, order, mu0, bestMu, bestSuffix)
   }
 
   private def less(a: Int, b: Int): Boolean =

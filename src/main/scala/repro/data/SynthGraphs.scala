@@ -134,15 +134,8 @@ object SynthGraphs {
   }
 
   /** Overlay a clique on `size` distinct random vertices of `g`. */
-  def plantClique(g: LocalGraph, size: Int, seed: Long = 7): LocalGraph = {
-    require(size <= g.n, s"clique size $size > n=${g.n}")
-    val rnd     = new Random(seed)
-    val chosen  = rnd.shuffle((0 until g.n).toVector).take(size).map(g.ids)
-    val edges   = mutable.ArrayBuffer.empty[(Long, Long)] ++ g.edgesExternal
-    for (i <- chosen.indices; j <- (i + 1) until chosen.size)
-      edges += ((chosen(i), chosen(j)))
-    LocalGraph.fromEdges(edges, g.ids)
-  }
+  def plantClique(g: LocalGraph, size: Int, seed: Long = 7): LocalGraph =
+    plantQuasiClique(g, size, 1.0, seed)
 
   /** The Example-5 exemplar (Figure 5 of the paper), built to its spec:
     * S1 = 7 vertices / 15 edges, the EDS (density 15/7, a 3-core);

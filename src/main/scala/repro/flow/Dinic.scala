@@ -9,18 +9,17 @@ package repro.flow
   * double round-off.
   *
   * [[addEdge]] appends to an arc list (sized from `arcHint`, doubled when
-  * full). The first [[reset]], [[maxFlow]] or [[minCutSourceSide]] after an
-  * `addEdge` lays the arcs out in forward-star (CSR) form: node u's arcs,
-  * reverse arcs included, are the contiguous slice `start(u) until
-  * start(u + 1)`, newest first, and `rev` pairs each arc with its reverse.
-  * An arc's reverse has capacity 0 unless `addEdge` gives it one, so a pair
-  * of opposite arcs can share two slots instead of taking four.
-  * Residual capacities carry over a re-layout; arc ids stay valid through
-  * a per-arc slot map. Augmenting paths use an explicit stack and enter
-  * only nodes below t's level (or t), so a phase never descends into nodes
-  * at t's level that cannot reach t. [[minCutSourceSide]] reuses the levels
-  * of [[maxFlow]]'s last BFS while nothing has changed since. [[reset]]
-  * restores the capacities, so one network serves many max-flow runs.
+  * full). The first [[reset]], [[maxFlow]] or [[minCutSourceSide]] lays the
+  * arcs out, once, in forward-star (CSR) form: node u's arcs, reverse arcs
+  * included, are the contiguous slice `start(u) until start(u + 1)`, newest
+  * first, and `rev` pairs each arc with its reverse. No arc can be added
+  * after that. An arc's reverse has capacity 0 unless `addEdge` gives it
+  * one, so a pair of opposite arcs can share two slots instead of taking
+  * four. Augmenting paths use an explicit stack and enter only nodes below
+  * t's level (or t), so a phase never descends into nodes at t's level that
+  * cannot reach t. [[minCutSourceSide]] reuses the levels of [[maxFlow]]'s
+  * last BFS while nothing has changed since. [[reset]] restores the
+  * capacities, so one network serves many max-flow runs.
   */
 final class Dinic(val n: Int, arcHint: Int = 16) {
   private val EPS = 1e-10
@@ -34,9 +33,9 @@ final class Dinic(val n: Int, arcHint: Int = 16) {
   private var m       = 0
   private var paired  = 0
 
-  // the CSR layout of the first `laidOut` arcs and their reverses: arc e is at
+  // the CSR layout of the arcs and their reverses, once `laidOut`: arc e is at
   // slot(e), its reverse at rev(slot(e)); base holds the capacities reset restores
-  private var laidOut = 0
+  private var laidOut = false
   private val start   = new Array[Int](n + 1)
   private var to      = Array.emptyIntArray
   private var rev     = Array.emptyIntArray
@@ -64,8 +63,11 @@ final class Dinic(val n: Int, arcHint: Int = 16) {
 
   /** Add a directed edge u -> v with capacity c whose reverse edge v -> u
     * has capacity `back` (the same cut as a second `addEdge(v, u, back)`);
-    * returns its arc id. */
+    * returns its arc id.
+    *
+    * @throws IllegalStateException once the arcs are laid out */
   def addEdge(u: Int, v: Int, c: Double, back: Double = 0.0): Int = {
+    if (laidOut) throw new IllegalStateException("addEdge after the arcs were laid out")
     checkNode(u, "tail"); checkNode(v, "head"); checkCap(c); checkCap(back, "back capacity")
     if (m == arcTail.length) {
       val len = m * 2
@@ -74,7 +76,6 @@ final class Dinic(val n: Int, arcHint: Int = 16) {
     }
     arcTail(m) = u; arcHead(m) = v; arcCap(m) = c; arcBack(m) = back
     if (back > 0) paired += 1
-    cutFrom = -1
     m += 1
     m - 1
   }
@@ -84,7 +85,7 @@ final class Dinic(val n: Int, arcHint: Int = 16) {
     if (e < 0 || e >= m) throw new IllegalArgumentException(s"no arc $e")
     checkCap(c)
     arcCap(e) = c
-    if (e < laidOut) base(slot(e)) = c
+    if (laidOut) base(slot(e)) = c
     cutFrom = -1
   }
 
@@ -95,30 +96,25 @@ final class Dinic(val n: Int, arcHint: Int = 16) {
     cutFrom = -1
   }
 
-  /** Lay out all arcs in CSR form (a no-op unless edges were added),
-    * keeping the residual capacities of the arcs laid out before. */
-  private def layout(): Unit = if (laidOut < m) {
-    java.util.Arrays.fill(start, 0)
+  /** Lay out all arcs in CSR form, once. */
+  private def layout(): Unit = if (!laidOut) {
     var e = 0
     while (e < m) { start(arcTail(e) + 1) += 1; start(arcHead(e) + 1) += 1; e += 1 }
     var u = 0
     while (u < n) { start(u + 1) += start(u); u += 1 }
     val fill = java.util.Arrays.copyOfRange(start, 1, n + 1) // fills each slice from its end
-    val to2 = new Array[Int](2 * m); val rev2 = new Array[Int](2 * m); val slot2 = new Array[Int](m)
-    val base2 = new Array[Double](2 * m)
+    to = new Array[Int](2 * m); rev = new Array[Int](2 * m); slot = new Array[Int](m)
+    base = new Array[Double](2 * m)
     e = 0
     while (e < m) {
       fill(arcTail(e)) -= 1; val p = fill(arcTail(e))
       fill(arcHead(e)) -= 1; val q = fill(arcHead(e))
-      to2(p) = arcHead(e); to2(q) = arcTail(e); rev2(p) = q; rev2(q) = p; slot2(e) = p
-      base2(p) = arcCap(e); base2(q) = arcBack(e)
+      to(p) = arcHead(e); to(q) = arcTail(e); rev(p) = q; rev(q) = p; slot(e) = p
+      base(p) = arcCap(e); base(q) = arcBack(e)
       e += 1
     }
-    val cap2 = base2.clone()
-    e = 0
-    while (e < laidOut) { cap2(slot2(e)) = cap(slot(e)); cap2(rev2(slot2(e))) = cap(rev(slot(e))); e += 1 }
-    to = to2; rev = rev2; slot = slot2; cap = cap2; base = base2
-    laidOut = m
+    cap = base.clone()
+    laidOut = true
   }
 
   private val level = new Array[Int](n)

@@ -69,6 +69,7 @@ object TestUtil {
     var mu          = instances.length.toLong
     var k           = 0L
     var bestDensity = if (n == 0) 0.0 else mu.toDouble / n
+    var bestMu      = mu
     var bestSuffix  = 0
     for (step <- 0 until n) {
       val deg = new Array[Long](n)
@@ -85,10 +86,11 @@ object TestUtil {
       val remaining = n - step - 1
       if (remaining > 0 && mu.toDouble / remaining > bestDensity) {
         bestDensity = mu.toDouble / remaining
+        bestMu = mu
         bestSuffix = step + 1
       }
     }
-    CliqueCore.Result(core, order, instances.length.toLong, bestDensity, bestSuffix)
+    CliqueCore.Result(core, order, instances.length.toLong, bestMu, bestSuffix)
   }
 
   /** Reference diamond (C4) instances, O(n² · d log d): for every vertex pair

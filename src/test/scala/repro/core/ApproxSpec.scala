@@ -113,6 +113,28 @@ class ApproxSpec extends AnyFunSuite {
     assert(v1.toSet == v2.toSet)
   }
 
+  for (seed <- 1 to 3) {
+    test(s"CoreApp and EMcore grow W for 3+ rounds on a planted clique and match IncApp and KCore (seed=$seed)") {
+      // G(120, 0.15) under a K22. EMcore's blocks hold 16 vertices and CoreApp
+      // starts at 16; a search stops at |W| = w only if the (w+1)-th highest
+      // degree is below k_max, which the assertion on deg(32) rules out for
+      // w = 16 and w = 32
+      val g   = SynthGraphs.plantClique(TestUtil.randomGraph(120, 0.15, seed), 22, seed)
+      val dec = KCore.decompose(g)
+      val deg = Array.tabulate(g.n)(g.degree).sorted(Ordering.Int.reverse)
+      assert(deg(32) >= dec.kMax, s"33rd degree ${deg(32)}, k_max ${dec.kMax}")
+      val (k, vs) = EMcore.kMaxCore(g)
+      assert(k == dec.kMax && vs.toSet == dec.coreVertices(dec.kMax).toSet)
+      for (psi <- Seq(Pattern.Edge, Pattern.Triangle)) {
+        val inc         = IncApp.run(g, psi)
+        val (k, vs, mu) = CoreApp.kMaxCore(g, psi)
+        assert(k == CliqueCore.decompose(g, psi).kMax, s"Ψ=$psi")
+        assert(vs.toSet == inc.vertices.toSet, s"Ψ=$psi")
+        assert(mu == psi.count(g.induced(vs)) && mu == inc.instances, s"Ψ=$psi")
+      }
+    }
+  }
+
   // ---- NucleusAND as an approximation algorithm ----
 
   test("NucleusAND.run returns the same core as IncApp") {

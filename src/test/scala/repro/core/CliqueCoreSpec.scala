@@ -83,8 +83,9 @@ class CliqueCoreSpec extends AnyFunSuite {
     val inst = psi.instances(g)
     val dec  = CliqueCore.decomposeInstances(g.n, inst)
     val s    = dec.bestResidualVertices
-    val rho  = Densest.countWithin(inst, g.n, s).toDouble / s.length
-    assert(math.abs(rho - dec.bestDensity) < 1e-9)
+    val mu   = Densest.countWithin(inst, g.n, s)
+    assert(dec.bestInstances == mu)
+    assert(math.abs(mu.toDouble / s.length - dec.bestDensity) < 1e-9)
     // bestDensity is a lower bound on rho_opt and at least the graph density
     assert(dec.bestDensity + 1e-9 >= dec.totalInstances.toDouble / g.n)
   }
@@ -130,6 +131,8 @@ class CliqueCoreSpec extends AnyFunSuite {
       assert(dec.order.toSeq == ref.order.toSeq)
       assert(dec.bestSuffix == ref.bestSuffix)
       assert(dec.bestDensity == ref.bestDensity)
+      assert(dec.bestInstances == ref.bestInstances)
+      assert(ref.bestInstances == Densest.countWithin(inst, g.n, ref.bestResidualVertices))
       assert(dec.totalInstances == ref.totalInstances)
     }
   }

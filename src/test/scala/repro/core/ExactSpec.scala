@@ -61,15 +61,6 @@ class ExactSpec extends AnyFunSuite {
     }
   }
 
-  for (seed <- 1 to 4) {
-    test(s"grouped (construct+) Exact agrees with ungrouped (seed=$seed, Ψ=diamond)") {
-      val g = TestUtil.randomGraph(10, 0.5, seed)
-      val a = Exact.run(g, Pattern.Diamond, grouped = false)
-      val b = Exact.run(g, Pattern.Diamond, grouped = true)
-      assert(math.abs(a.density - b.density) < 1e-9)
-    }
-  }
-
   test("Lemma 3: connected components of the CDS share its density") {
     // two disjoint K4's: both are equally dense; CDS density 1.5
     val g = LocalGraph.fromEdges(

@@ -2,7 +2,7 @@ package repro.patterns
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestUtil
-import repro.core.CliqueCore
+import repro.core.{CliqueCore, CoreApp}
 
 /** Appendix-D optimized star / diamond decompositions must be
   * output-equivalent to the generic instance-materializing peel.
@@ -17,6 +17,7 @@ class SpecialCoresSpec extends AnyFunSuite {
       assert(a.core.toSeq == b.core.toSeq)
       assert(a.totalInstances == b.totalInstances)
       assert(math.abs(a.bestDensity - b.bestDensity) < 1e-9)
+      assert(a.bestInstances == b.bestInstances)
     }
   }
 
@@ -28,6 +29,7 @@ class SpecialCoresSpec extends AnyFunSuite {
       assert(a.core.toSeq == b.core.toSeq)
       assert(a.totalInstances == b.totalInstances)
       assert(math.abs(a.bestDensity - b.bestDensity) < 1e-9)
+      assert(a.bestInstances == b.bestInstances)
     }
   }
 
@@ -112,6 +114,16 @@ class SpecialCoresSpec extends AnyFunSuite {
     assert(dec.totalInstances == Long.MaxValue)
   }
 
+  test("CoreApp counts μ of its 8-star core on the core, not from the saturated peel (two hubs, 900 leaves each)") {
+    // once saturated the star peel's running μ sticks at Long.MaxValue: here
+    // its densest residual is a single vertex said to hold Long.MaxValue stars
+    val g           = twoHubs(900)
+    val psi         = Pattern.Star(8)
+    val (k, vs, mu) = CoreApp.kMaxCore(g, psi)
+    assert(k == SpecialCores.decomposeStar(g, 8).kMax)
+    assert(mu == psi.count(g.induced(vs)))
+  }
+
   test("diamond optimized peel equals the generic peel on a hub-heavy graph") {
     // three hubs, each adjacent to most of 80 vertices, over sparse noise:
     // a hub's removal changes the C4 degree of nearly every vertex
@@ -125,6 +137,7 @@ class SpecialCoresSpec extends AnyFunSuite {
     assert(a.order.toSeq == b.order.toSeq)
     assert(a.bestSuffix == b.bestSuffix)
     assert(a.totalInstances == b.totalInstances)
+    assert(a.bestInstances == b.bestInstances)
     assert(a.kMax > 0)
   }
 }
