@@ -10,6 +10,14 @@ import scala.collection.mutable
   * Sozio, WWW'18): orient every edge from lower to higher degeneracy rank,
   * then recursively extend cliques inside out-neighborhoods. Each h-clique
   * instance is emitted exactly once, as a sorted array of local vertex ids.
+  *
+  * The out-lists are one CSR (`off` over `out`, each list sorted by id), and
+  * every depth keeps one candidate buffer as long as the largest out-list,
+  * so the listing allocates nothing per clique or per extension. The last
+  * vertex is not picked from a built intersection: `out(u)` is scanned
+  * against a mark array holding the parent's candidates. Both ways yield the
+  * candidates in id order, so cliques come out in the order of the plain
+  * intersect-and-recurse enumeration.
   */
 object CliqueEnum {
 
@@ -18,64 +26,111 @@ object CliqueEnum {
     */
   def forEach(g: LocalGraph, h: Int)(f: Array[Int] => Unit): Unit = {
     require(h >= 1, s"h must be >= 1, got $h")
-    val n = g.n
-    if (n == 0) return
+    val n    = g.n
+    val emit = new Array[Int](h)
     if (h == 1) {
-      val buf = new Array[Int](1)
       var v = 0
-      while (v < n) { buf(0) = v; f(buf); v += 1 }
+      while (v < n) { emit(0) = v; f(emit); v += 1 }
       return
     }
+    if (n == 0) return
+    if (g.m > Int.MaxValue) throw new IllegalArgumentException(s"${g.m} edges do not fit one array")
     val rank = KCore.decompose(g).rank
-    // out-neighbors (higher rank), sorted by vertex id for merge-intersection
-    val out = Array.tabulate(n) { v =>
-      val o   = new mutable.ArrayBuilder.ofInt
+    // out-neighbours (higher rank) of v: out(off(v) until off(v + 1)), by id
+    val off    = new Array[Int](n + 1)
+    val out    = new Array[Int](g.m.toInt)
+    var maxOut = 0
+    var v      = 0
+    while (v < n) {
       val adj = g.adj(v)
+      var e   = off(v)
       var i   = 0
-      while (i < adj.length) { if (rank(adj(i)) > rank(v)) o.addOne(adj(i)); i += 1 }
-      o.result()
+      while (i < adj.length) { if (rank(adj(i)) > rank(v)) { out(e) = adj(i); e += 1 }; i += 1 }
+      off(v + 1) = e
+      maxOut = math.max(maxOut, e - off(v))
+      v += 1
     }
+
     val clique = new Array[Int](h)
-    val emit   = new Array[Int](h)
-
-    def intersect(a: Array[Int], b: Array[Int]): Array[Int] = {
-      val res = new mutable.ArrayBuilder.ofInt
-      var i = 0; var j = 0
-      while (i < a.length && j < b.length) {
-        if (a(i) < b(j)) i += 1
-        else if (a(i) > b(j)) j += 1
-        else { res.addOne(a(i)); i += 1; j += 1 }
+    def emitSorted(): Unit = {
+      // insertion sort: h is small
+      var i = 0
+      while (i < h) {
+        val x = clique(i)
+        var j = i
+        while (j > 0 && emit(j - 1) > x) { emit(j) = emit(j - 1); j -= 1 }
+        emit(j) = x
+        i += 1
       }
-      res.result()
+      f(emit)
     }
 
-    def rec(depth: Int, cand: Array[Int]): Unit = {
-      if (depth == h) {
-        // insertion sort: h is small
+    if (h == 2) {
+      v = 0
+      while (v < n) {
+        clique(0) = v
+        var i = off(v)
+        while (i < off(v + 1)) { clique(1) = out(i); emitSorted(); i += 1 }
+        v += 1
+      }
+      return
+    }
+
+    // cand(d)(0 until len(d)), 1 <= d <= h - 2: the common out-neighbours of
+    // clique(0 until d); the last pick needs no buffer
+    val cand = Array.tabulate(h - 1)(d => if (d == 0) null else new Array[Int](maxOut))
+    val len  = new Array[Int](h - 1)
+    val mark = new Array[Boolean](n)
+
+    def rec(d: Int): Unit = {
+      val c = cand(d)
+      val k = len(d)
+      if (k >= h - d) {
         var i = 0
-        while (i < h) {
-          val x = clique(i)
-          var j = i
-          while (j > 0 && emit(j - 1) > x) { emit(j) = emit(j - 1); j -= 1 }
-          emit(j) = x
-          i += 1
-        }
-        f(emit)
-      } else if (cand.length >= h - depth) {
-        var i = 0
-        while (i < cand.length) {
-          val u = cand(i)
-          clique(depth) = u
-          rec(depth + 1, if (depth + 1 == h) Array.emptyIntArray else intersect(cand, out(u)))
-          i += 1
+        if (d == h - 2) {
+          // the last two picks: u from c, then every w of out(u) that is in c
+          while (i < k) { mark(c(i)) = true; i += 1 }
+          i = 0
+          while (i < k) {
+            val u = c(i)
+            clique(d) = u
+            var j = off(u)
+            while (j < off(u + 1)) {
+              val w = out(j)
+              if (mark(w)) { clique(d + 1) = w; emitSorted() }
+              j += 1
+            }
+            i += 1
+          }
+          i = 0
+          while (i < k) { mark(c(i)) = false; i += 1 }
+        } else {
+          val next = cand(d + 1)
+          while (i < k) {
+            val u = c(i)
+            clique(d) = u
+            // merge-intersect c with out(u)
+            var a = 0; var b = off(u); var t = 0
+            val end = off(u + 1)
+            while (a < k && b < end) {
+              if (c(a) < out(b)) a += 1
+              else if (c(a) > out(b)) b += 1
+              else { next(t) = c(a); t += 1; a += 1; b += 1 }
+            }
+            len(d + 1) = t
+            rec(d + 1)
+            i += 1
+          }
         }
       }
     }
 
-    var v = 0
+    v = 0
     while (v < n) {
       clique(0) = v
-      rec(1, out(v))
+      len(1) = off(v + 1) - off(v)
+      System.arraycopy(out, off(v), cand(1), 0, len(1))
+      rec(1)
       v += 1
     }
   }

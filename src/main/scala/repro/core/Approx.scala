@@ -8,13 +8,13 @@ import repro.patterns.Pattern
   * Removes the minimum-Ψ-degree vertex n times, recording the density of
   * every residual graph; returns the densest residual. 1/|V_Ψ|-approximation
   * (Lemma 11). The peel itself is shared with the decomposition code, which
-  * counts μ of every residual as it goes, so the answer is not recounted.
+  * counts μ of every residual as it goes, so the answer is not recounted;
+  * h-cliques go from the listing kernel into its flat store directly.
   */
 object PeelApp {
   def run(g: LocalGraph, psi: Pattern): Subgraph = {
-    val instances = psi.instances(g)
-    if (instances.isEmpty) return Subgraph.none(g)
-    CliqueCore.decomposeInstances(g.n, instances).bestResidual
+    val dec = CliqueCore.decompose(g, psi)
+    if (dec.totalInstances == 0) Subgraph.none(g) else dec.bestResidual
   }
 }
 

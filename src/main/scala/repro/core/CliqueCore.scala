@@ -1,15 +1,17 @@
 package repro.core
 
+import repro.cliques.CliqueEnum
 import repro.graph.LocalGraph
 import repro.patterns.Pattern
 import scala.collection.mutable
 
 /** (k, Ψ)-core decomposition (Algorithm 3), generalized to any pattern.
   *
-  * Instances of Ψ are materialized once and indexed per vertex in one CSR
-  * (an offset array of n + 1 entries over one array of instance ids). The
-  * shared [[Peel]] removes the live vertex of smallest (Ψ-degree, id); its
-  * live instances die and their other members lose one degree each. Core
+  * Instances of Ψ are stored once in one flat `Int` array with stride h
+  * ([[Instances]]) and indexed per vertex in one CSR (an offset array of
+  * n + 1 entries over one array of instance ids). The shared [[Peel]]
+  * removes the live vertex of smallest (Ψ-degree, id); its live instances
+  * die and their other members lose one degree each. Core
   * numbers are those of the paper's re-enumeration variant, with the same
   * worst-case complexity (see DESIGN.md "Deviations").
   *
@@ -57,23 +59,121 @@ object CliqueCore {
     def bestResidual: Subgraph = Subgraph(bestResidualVertices, bestInstances, bestDensity)
   }
 
-  /** Decompose `g` w.r.t. pattern `psi`. */
-  def decompose(g: LocalGraph, psi: Pattern): Result =
-    decomposeInstances(g.n, psi.instances(g))
-
-  /** Decompose given pre-materialized instances (local-id arrays).
-    *
-    * @throws IllegalArgumentException as [[index]] does
+  /** Decompose `g` w.r.t. pattern `psi`; h-cliques go from the listing
+    * kernel into the flat store with no array per instance.
     */
-  def decomposeInstances(n: Int, instances: Array[Array[Int]]): Result = {
-    val (off, ids) = index(n, instances)
+  def decompose(g: LocalGraph, psi: Pattern): Result = peel(g.n, instancesOf(g, psi))
+
+  /** Decompose given pre-materialized instance arrays, copied into the flat
+    * store first.
+    *
+    * @throws IllegalArgumentException as [[flatten]] and [[index]] do
+    */
+  def decomposeInstances(n: Int, instances: Array[Array[Int]]): Result = peel(n, flatten(instances))
+
+  /** Instances of a pattern on `h` vertices in one flat array with stride h:
+    * instance i holds `data(i * h until (i + 1) * h)`.
+    */
+  private[core] final class Instances(val h: Int, val data: Array[Int], val count: Int) {
+
+    /** The number of instances inside `vs`, a subset of 0 until n. */
+    def countWithin(n: Int, vs: Array[Int]): Long = {
+      val in = new Array[Boolean](n)
+      var i  = 0
+      while (i < vs.length) { in(vs(i)) = true; i += 1 }
+      var c = 0L
+      i = 0
+      while (i < count) {
+        var j = i * h
+        while (j < (i + 1) * h && in(data(j))) j += 1
+        if (j == (i + 1) * h) c += 1
+        i += 1
+      }
+      c
+    }
+  }
+
+  /** Collects instances of h >= 1 vertices in fixed-size chunks, then
+    * copies them once into the flat array: growing one array by doubling
+    * would copy and zero it again at every step.
+    */
+  private final class Collector(h: Int) extends (Array[Int] => Unit) {
+    private val chunkLen = math.max(1, (1 << 16) / h) * h
+    private val full     = mutable.ArrayBuffer.empty[Array[Int]]
+    private var chunk    = new Array[Int](chunkLen)
+    private var at       = 0
+
+    def apply(inst: Array[Int]): Unit = {
+      if (at == chunkLen) {
+        if ((full.length + 2L) * chunkLen > Int.MaxValue - 8)
+          throw new IllegalArgumentException(
+            s"more than ${(full.length + 1L) * chunkLen} vertex-instance incidences do not fit one array")
+        full += chunk
+        chunk = new Array[Int](chunkLen)
+        at = 0
+      }
+      var i = 0
+      while (i < h) { chunk(at) = inst(i); at += 1; i += 1 }
+    }
+
+    def result(): Instances = {
+      val data = new Array[Int](full.length * chunkLen + at)
+      var o    = 0
+      full.foreach { c => System.arraycopy(c, 0, data, o, chunkLen); o += chunkLen }
+      System.arraycopy(chunk, 0, data, o, at)
+      new Instances(h, data, data.length / h)
+    }
+  }
+
+  /** The instances of `psi` in `g`; h-cliques straight from the kernel's
+    * reused emit buffer.
+    */
+  private[core] def instancesOf(g: LocalGraph, psi: Pattern): Instances = psi match {
+    case Pattern.Clique(h) =>
+      val c = new Collector(h)
+      CliqueEnum.forEach(g, h)(c)
+      c.result()
+    case _ => flatten(psi.instances(g))
+  }
+
+  /** The flat copy of an instance list.
+    *
+    * @throws IllegalArgumentException if the instances differ in size or do
+    *         not fit one array
+    */
+  private[core] def flatten(instances: Array[Array[Int]]): Instances = {
+    val h     = if (instances.isEmpty) 0 else instances(0).length
+    val total = instances.length.toLong * h
+    if (total > Int.MaxValue - 8)
+      throw new IllegalArgumentException(s"$total vertex-instance incidences do not fit one array")
+    val data = new Array[Int](total.toInt)
+    var at   = 0
+    var i    = 0
+    while (i < instances.length) {
+      val inst = instances(i)
+      if (inst.length != h)
+        throw new IllegalArgumentException(s"instance $i has ${inst.length} vertices, instance 0 has $h")
+      var j = 0
+      while (j < h) { data(at) = inst(j); at += 1; j += 1 }
+      i += 1
+    }
+    new Instances(h, data, instances.length)
+  }
+
+  /** The peel engine: removing u kills u's live instances, and each of
+    * their other members loses one degree.
+    */
+  private[core] def peel(n: Int, s: Instances): Result = {
+    val (off, ids) = index(n, s)
     val deg = new Array[Long](n)
     var v   = 0
     while (v < n) { deg(v) = off(v + 1) - off(v); v += 1 }
 
-    val dead = new Array[Boolean](instances.length)
+    val h    = s.h
+    val data = s.data
+    val dead = new Array[Boolean](s.count)
     new Peel(deg) {
-      private var mu = instances.length.toLong
+      private var mu = s.count.toLong
 
       protected def removed(u: Int): Long = {
         var i = off(u)
@@ -83,15 +183,14 @@ object CliqueCore {
             dead(id) = true
             mu -= 1
             // a live instance has only live members
-            val inst = instances(id)
-            var j = 0
-            while (j < inst.length) { if (inst(j) != u) decrement(inst(j)); j += 1 }
+            var j = id * h
+            while (j < (id + 1) * h) { if (data(j) != u) decrement(data(j)); j += 1 }
           }
           i += 1
         }
         mu
       }
-    }.run(instances.length.toLong)
+    }.run(s.count.toLong)
   }
 
   /** Vertex → instance index as one CSR: the ids of the instances that hold
@@ -100,42 +199,39 @@ object CliqueCore {
     * @throws IllegalArgumentException if n < 0, or an instance holds a vertex
     *         outside [0, n) or repeats a vertex
     */
-  private[core] def index(n: Int, instances: Array[Array[Int]]): (Array[Int], Array[Int]) = {
+  private[core] def index(n: Int, s: Instances): (Array[Int], Array[Int]) = {
     if (n < 0) throw new IllegalArgumentException(s"vertex count $n is negative")
+    val h    = s.h
+    val data = s.data
     // off(v) counts v's instances, then becomes the end of v's slice of ids
     // and, after the fill, its start
-    val off   = new Array[Int](n + 1)
-    var total = 0L
-    var ii    = 0
-    while (ii < instances.length) {
-      val inst = instances(ii)
-      var i = 0
-      while (i < inst.length) {
-        val v = inst(i)
+    val off = new Array[Int](n + 1)
+    var id  = 0
+    while (id < s.count) {
+      val base = id * h
+      var i    = base
+      while (i < base + h) {
+        val v = data(i)
         if (v < 0 || v >= n)
-          throw new IllegalArgumentException(s"instance $ii holds vertex $v outside [0, $n)")
-        var j = 0
+          throw new IllegalArgumentException(s"instance $id holds vertex $v outside [0, $n)")
+        var j = base
         while (j < i) {
-          if (inst(j) == v) throw new IllegalArgumentException(s"instance $ii repeats vertex $v")
+          if (data(j) == v) throw new IllegalArgumentException(s"instance $id repeats vertex $v")
           j += 1
         }
         off(v) += 1
         i += 1
       }
-      total += inst.length
-      ii += 1
+      id += 1
     }
-    if (total > Int.MaxValue)
-      throw new IllegalArgumentException(s"$total vertex-instance incidences do not fit one array")
     var v = 0
     while (v < n) { off(v + 1) += off(v); v += 1 }
-    val ids = new Array[Int](total.toInt)
-    ii = instances.length - 1
-    while (ii >= 0) {
-      val inst = instances(ii)
-      var i = 0
-      while (i < inst.length) { val w = inst(i); off(w) -= 1; ids(off(w)) = ii; i += 1 }
-      ii -= 1
+    val ids = new Array[Int](s.count * h)
+    id = s.count - 1
+    while (id >= 0) {
+      var i = id * h
+      while (i < (id + 1) * h) { val w = data(i); off(w) -= 1; ids(off(w)) = id; i += 1 }
+      id -= 1
     }
     (off, ids)
   }

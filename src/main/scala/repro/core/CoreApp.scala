@@ -8,8 +8,10 @@ import repro.patterns.{Combinatorics, Pattern, SpecialCores}
   * Sort vertices by a cheap upper bound γ(v, Ψ) ≥ core_G(v, Ψ); run the
   * decomposition on subgraphs induced by the top-γ vertex set W, doubling
   * |W| until every vertex outside W has γ below the best k_max seen — at
-  * that point the k_max-core of G[W] is the k_max-core of G. [[EMcore]] is
-  * the same search with another bound and growth rule ([[topDown]]).
+  * that point the k_max-core of G[W] is the k_max-core of G. Each later
+  * round first drops from G[W] the vertices whose γ in G[W] is below the
+  * k_max seen. [[EMcore]] is the same search with another bound and growth
+  * rule ([[topDown]]).
   *
   * γ choices (Section 6.2): for h-cliques with h >= 3, γ(v) = C(x, h-1)
   * where x is v's CLASSICAL core number; for edges, γ(v) = deg_G(v); for
@@ -36,55 +38,75 @@ object CoreApp {
   /** Returns (k_max, vertex set of the (k_max, Ψ)-core in g-local ids,
     * μ of that core).
     */
-  def kMaxCore(g: LocalGraph, psi: Pattern): (Long, Array[Int], Long) = {
-    val (kMax, core) = topDown(g, psi, gamma(g, psi), math.max(16, 2 * psi.numVertices), 2 * _)
-    // counted once, on the answer: a star peel's running μ saturates
-    (kMax, core, psi.count(g.induced(core)))
-  }
+  def kMaxCore(g: LocalGraph, psi: Pattern): (Long, Array[Int], Long) =
+    topDown(g, psi, gamma(g, psi), math.max(16, 2 * psi.numVertices), 2 * _)
 
   /** The top-down search: sort the vertices by `bound` (an upper bound on
     * their Ψ-core numbers, highest first), decompose G[W] for the first |W|
     * of them, starting at |W| = `w0` and growing it by `grow`, until every
-    * vertex outside W has a bound below the best k_max seen. Returns
-    * (k_max, the (k_max, Ψ)-core in g-local ids).
+    * vertex outside W has a bound below the best k_max seen. From the second
+    * round on, G[W] first loses every vertex whose [[gamma]] in G[W] is below
+    * that k_max. Returns (k_max, the (k_max, Ψ)-core in g-local ids, μ of
+    * that core), μ counted once, by the round that found the core.
     */
   private[core] def topDown(g: LocalGraph, psi: Pattern, bound: Array[Long],
-                            w0: Int, grow: Int => Int): (Long, Array[Int]) = {
+                            w0: Int, grow: Int => Int): (Long, Array[Int], Long) = {
     val n     = g.n
     val order = (0 until n).sortBy(v => -bound(v)).toArray
     var w     = math.min(n, w0)
     var kMax  = 0L
     var best  = Array.empty[Int] // in g-local ids
+    var bestMu: () => Long = () => 0L
     var done  = false
     while (!done) {
-      val (sub, backMap) = g.inducedWithMap(order.take(w)) // external ids preserved
-      val (subKMax, core) = kMaxCoreOf(sub, psi)
+      val (gw, wMap) = g.inducedWithMap(order.take(w)) // external ids preserved
+      // drop the vertices whose γ in G[W] is below k_max: γ bounds core
+      // numbers in any graph, so every (k, Ψ)-core of G[W] with k >= k_max
+      // lies in the rest, and k_max(G[W]) >= k_max since W only grows
+      val (sub, backMap) =
+        if (kMax == 0) (gw, wMap)
+        else {
+          val gam  = gamma(gw, psi)
+          val keep = java.util.stream.IntStream.range(0, gw.n).filter(gam(_) >= kMax).toArray
+          if (keep.length == gw.n) (gw, wMap)
+          else { val (s, m) = gw.inducedWithMap(keep); (s, m.map(wMap)) }
+        }
+      val (subKMax, core, mu) = kMaxCoreOf(sub, psi)
       if (subKMax >= kMax) {
         kMax = subKMax
         best = core.map(backMap)
+        bestMu = mu
       }
       // stopping criterion (line 4): every vertex outside W has a bound < k_max
       done = w >= n || bound(order(w)) < kMax
       if (!done) w = math.min(n, grow(w))
     }
-    (kMax, best)
+    (kMax, best, bestMu())
   }
 
-  /** (k_max, (k_max, Ψ)-core) of `g` by a full decomposition. For edges the
-    * classical O(m) bin-sort decomposition IS the (k, Ψ)-core decomposition;
-    * stars and the diamond use the Appendix-D closed-form peel — neither
-    * materializes instances.
+  /** (k_max, (k_max, Ψ)-core, μ of that core when asked) of `g` by a full
+    * decomposition. For edges the classical O(m) bin-sort decomposition IS
+    * the (k, Ψ)-core decomposition; stars and the diamond use the
+    * Appendix-D closed-form peel, and μ is counted in closed form on the
+    * core (a star peel's running μ saturates); other patterns peel the flat
+    * store, and μ is counted over it, with no second listing.
     */
-  private def kMaxCoreOf(g: LocalGraph, psi: Pattern): (Long, Array[Int]) = psi match {
+  private def kMaxCoreOf(g: LocalGraph, psi: Pattern): (Long, Array[Int], () => Long) = psi match {
     case Pattern.Clique(2) =>
-      val dec = KCore.decompose(g)
-      (dec.kMax.toLong, dec.coreVertices(dec.kMax))
-    case _ =>
+      val dec  = KCore.decompose(g)
+      val core = dec.coreVertices(dec.kMax)
+      (dec.kMax.toLong, core, () => g.induced(core).m)
+    case Pattern.Star(_) | Pattern.Diamond =>
       val dec = psi match {
-        case Pattern.Star(x)  => SpecialCores.decomposeStar(g, x)
-        case Pattern.Diamond  => SpecialCores.decomposeDiamond(g)
-        case _                => CliqueCore.decompose(g, psi)
+        case Pattern.Star(x) => SpecialCores.decomposeStar(g, x)
+        case _               => SpecialCores.decomposeDiamond(g)
       }
-      (dec.kMax, dec.kMaxCoreVertices)
+      val core = dec.kMaxCoreVertices
+      (dec.kMax, core, () => psi.count(g.induced(core)))
+    case _ =>
+      val s    = CliqueCore.instancesOf(g, psi)
+      val dec  = CliqueCore.peel(g.n, s)
+      val core = dec.kMaxCoreVertices
+      (dec.kMax, core, () => s.countWithin(g.n, core))
   }
 }

@@ -18,7 +18,7 @@ object EMcore {
   def kMaxCore(g: LocalGraph): (Int, Array[Int]) = {
     val block     = math.max(16, g.n / 8)
     val deg       = Array.tabulate(g.n)(g.degree(_).toLong)
-    val (k, core) = CoreApp.topDown(g, Pattern.Edge, deg, block, _ + block)
+    val (k, core, _) = CoreApp.topDown(g, Pattern.Edge, deg, block, _ + block)
     (k.toInt, core)
   }
 

@@ -17,10 +17,13 @@ object NucleusAND {
 
   /** Clique/pattern-core numbers via asynchronous local h-index iteration. */
   def coreNumbers(g: LocalGraph, psi: Pattern): Array[Long] =
-    coreNumbersFromInstances(g.n, psi.instances(g))
+    coreNumbers(g.n, CliqueCore.instancesOf(g, psi))
 
-  def coreNumbersFromInstances(n: Int, instances: Array[Array[Int]]): Array[Long] = {
-    val (off, ids) = CliqueCore.index(n, instances)
+  def coreNumbersFromInstances(n: Int, instances: Array[Array[Int]]): Array[Long] =
+    coreNumbers(n, CliqueCore.flatten(instances))
+
+  private def coreNumbers(n: Int, s: CliqueCore.Instances): Array[Long] = {
+    val (off, ids) = CliqueCore.index(n, s)
     val est = new Array[Long](n) // start at Ψ-degree
     var v   = 0
     while (v < n) { est(v) = off(v + 1) - off(v); v += 1 }
@@ -34,11 +37,11 @@ object NucleusAND {
           val vals = new Array[Long](off(v + 1) - off(v))
           var i = 0
           while (i < vals.length) {
-            val inst = instances(ids(off(v) + i))
+            val base = ids(off(v) + i) * s.h
             var mn   = Long.MaxValue
-            var j    = 0
-            while (j < inst.length) {
-              val u = inst(j)
+            var j    = base
+            while (j < base + s.h) {
+              val u = s.data(j)
               if (u != v && est(u) < mn) mn = est(u)
               j += 1
             }

@@ -62,7 +62,9 @@ abstract class Peel(deg: Array[Long]) {
       order(done) = v
       val mu = removed(v)
       done += 1
-      if (done < n) {
+      // a saturated μ (Long.MaxValue, see Combinatorics.choose) is unknown,
+      // so that residual is never taken as the densest
+      if (done < n && mu != Long.MaxValue) {
         val dens = mu.toDouble / (n - done)
         if (dens > bestDensity) { bestDensity = dens; bestMu = mu; bestSuffix = done }
       }

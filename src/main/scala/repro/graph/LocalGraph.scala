@@ -20,13 +20,23 @@ final class LocalGraph(val ids: Array[Long], val adj: Array[Array[Int]]) extends
   def n: Int = ids.length
 
   /** Number of undirected edges. */
-  val m: Long = adj.map(_.length.toLong).sum / 2
+  val m: Long = {
+    var twice = 0L
+    var v     = 0
+    while (v < adj.length) { twice += adj(v).length; v += 1 }
+    twice / 2
+  }
 
   /** Degree of local vertex `v`. */
   def degree(v: Int): Int = adj(v).length
 
   /** Maximum degree (0 for the empty graph). */
-  def maxDegree: Int = if (n == 0) 0 else adj.map(_.length).max
+  def maxDegree: Int = {
+    var max = 0
+    var v   = 0
+    while (v < n) { max = math.max(max, adj(v).length); v += 1 }
+    max
+  }
 
   /** Edge test via binary search over the sorted adjacency of `u`. */
   def hasEdge(u: Int, v: Int): Boolean =
@@ -108,23 +118,67 @@ object LocalGraph {
     *
     * Self-loops are dropped; duplicate/reversed edges collapse. Vertices
     * with no surviving edge only appear if listed in `extraVertices`.
+    *
+    * Sort-based, on primitive arrays: the sorted distinct endpoints become
+    * `ids`, each edge becomes the key (u << 32 | v) over local ids u < v,
+    * and the sorted distinct keys fill every adjacency list in id order.
     */
   def fromEdges(edgeList: IterableOnce[(Long, Long)],
                 extraVertices: IterableOnce[Long] = Nil): LocalGraph = {
-    val canon = mutable.HashSet.empty[(Long, Long)]
+    // endpoints of the non-loop edges, two per edge
+    var ends = new Array[Long](64)
+    var k    = 0
     edgeList.iterator.foreach { case (a, b) =>
-      if (a != b) canon += (if (a < b) (a, b) else (b, a))
+      if (a != b) {
+        if (k + 2 > ends.length) ends = java.util.Arrays.copyOf(ends, 2 * ends.length)
+        ends(k) = a; ends(k + 1) = b; k += 2
+      }
     }
-    val vertexIds = mutable.TreeSet.empty[Long]
-    canon.foreach { case (a, b) => vertexIds += a; vertexIds += b }
-    extraVertices.iterator.foreach(vertexIds += _)
-    val ids   = vertexIds.toArray
-    val index = ids.iterator.zipWithIndex.toMap
-    val builders = Array.fill(ids.length)(new mutable.ArrayBuilder.ofInt)
-    canon.foreach { case (a, b) =>
-      val (u, v) = (index(a), index(b))
-      builders(u).addOne(v); builders(v).addOne(u)
+    val extra = extraVertices.iterator.toArray
+    val all   = java.util.Arrays.copyOf(ends, k + extra.length)
+    System.arraycopy(extra, 0, all, k, extra.length)
+    java.util.Arrays.sort(all)
+    val ids = java.util.Arrays.copyOf(all, dedupe(all))
+    val n   = ids.length
+
+    val keys = new Array[Long](k / 2)
+    var i    = 0
+    while (i < keys.length) {
+      val u = java.util.Arrays.binarySearch(ids, ends(2 * i))
+      val v = java.util.Arrays.binarySearch(ids, ends(2 * i + 1))
+      keys(i) = if (u < v) (u.toLong << 32) | v else (v.toLong << 32) | u
+      i += 1
     }
-    new LocalGraph(ids, builders.map(_.result().sorted))
+    java.util.Arrays.sort(keys)
+    val m   = dedupe(keys)
+    val deg = new Array[Int](n)
+    i = 0
+    while (i < m) { deg((keys(i) >>> 32).toInt) += 1; deg(keys(i).toInt) += 1; i += 1 }
+    val adj = Array.tabulate(n)(v => new Array[Int](deg(v)))
+    java.util.Arrays.fill(deg, 0)
+    // keys ascend, so w's neighbours below w arrive before those above it,
+    // each group in increasing order: every list fills sorted
+    i = 0
+    while (i < m) {
+      val u = (keys(i) >>> 32).toInt
+      val v = keys(i).toInt
+      adj(u)(deg(u)) = v; deg(u) += 1
+      adj(v)(deg(v)) = u; deg(v) += 1
+      i += 1
+    }
+    new LocalGraph(ids, adj)
+  }
+
+  /** Moves the distinct values of the sorted array `a` to its front and
+    * returns their number.
+    */
+  private def dedupe(a: Array[Long]): Int = {
+    var d = 0
+    var i = 0
+    while (i < a.length) {
+      if (d == 0 || a(i) != a(d - 1)) { a(d) = a(i); d += 1 }
+      i += 1
+    }
+    d
   }
 }

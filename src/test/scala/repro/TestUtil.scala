@@ -93,6 +93,37 @@ object TestUtil {
     CliqueCore.Result(core, order, instances.length.toLong, bestMu, bestSuffix)
   }
 
+  /** Reference h-clique listing (h >= 2) in the kernel's emission order:
+    * the plain kClist recursion, with out-lists of the degeneracy order
+    * sorted by id, a fresh merge-intersection per extension and every
+    * clique emitted sorted.
+    */
+  def referenceCliques(g: LocalGraph, h: Int): Array[Array[Int]] = {
+    val rank = repro.core.KCore.decompose(g).rank
+    val out  = Array.tabulate(g.n)(v => g.adj(v).filter(w => rank(w) > rank(v)))
+    val res  = mutable.ArrayBuffer.empty[Array[Int]]
+    val clique = new Array[Int](h)
+    def intersect(a: Array[Int], b: Array[Int]): Array[Int] = {
+      val r = mutable.ArrayBuilder.make[Int]
+      var i = 0; var j = 0
+      while (i < a.length && j < b.length) {
+        if (a(i) < b(j)) i += 1
+        else if (a(i) > b(j)) j += 1
+        else { r += a(i); i += 1; j += 1 }
+      }
+      r.result()
+    }
+    def rec(depth: Int, cand: Array[Int]): Unit =
+      if (depth == h) res += clique.sorted
+      else if (cand.length >= h - depth)
+        cand.foreach { u =>
+          clique(depth) = u
+          rec(depth + 1, if (depth + 1 == h) Array.emptyIntArray else intersect(cand, out(u)))
+        }
+    for (v <- 0 until g.n) { clique(0) = v; rec(1, out(v)) }
+    res.toArray
+  }
+
   /** Reference diamond (C4) instances, O(n² · d log d): for every vertex pair
     * {u, v}, each pair {a, b} of common neighbors closes the cycle u-a-v-b;
     * a cycle is found from both of its diagonals and kept once per edge set.

@@ -83,6 +83,30 @@ class CliqueEnumSpec extends AnyFunSuite {
       assert(CliqueEnum.count(g, h) >= choose(8, h), s"h=$h")
   }
 
+  /** The kernel's emitted cliques, in order, each copied. */
+  private def emitted(g: LocalGraph, h: Int): Seq[Seq[Int]] = {
+    val b = Seq.newBuilder[Seq[Int]]
+    CliqueEnum.forEach(g, h)(cl => b += cl.toSeq)
+    b.result()
+  }
+
+  for (seed <- 1 to 6) {
+    test(s"emitted sequence equals the reference enumerator in order for h = 1..5 (seed=$seed)") {
+      // G(40, 0.4), and a hub-heavy graph: four hubs adjacent to most of 90
+      // vertices over sparse noise, so the out-lists differ widely in length
+      val rnd   = new scala.util.Random(seed)
+      val edges = for (u <- 0 until 90; v <- (u + 1) until 90
+                       if rnd.nextDouble() < (if (u < 4) 0.75 else 0.06)) yield (u.toLong, v.toLong)
+      val graphs = Seq(TestUtil.randomGraph(40, 0.4, seed), LocalGraph.fromEdges(edges, 0L until 90L))
+      for (g <- graphs) assert(emitted(g, 1) == (0 until g.n).map(Seq(_)))
+      for (h <- 2 to 5) {
+        val refs = graphs.map(TestUtil.referenceCliques(_, h).map(_.toSeq).toSeq)
+        assert(refs.exists(_.nonEmpty), s"h=$h")
+        graphs.zip(refs).foreach { case (g, ref) => assert(emitted(g, h) == ref, s"h=$h n=${g.n}") }
+      }
+    }
+  }
+
   test("empty graph yields no cliques") {
     val g = LocalGraph.fromEdges(Nil)
     assert(CliqueEnum.count(g, 3) == 0)

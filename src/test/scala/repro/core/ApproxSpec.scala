@@ -135,6 +135,41 @@ class ApproxSpec extends AnyFunSuite {
     }
   }
 
+  /** Vertices of G[W] that the second round of the top-down search drops:
+    * W is the first `w1` by `bound`, the first round decomposed the first
+    * `w0`, and a vertex goes when its γ in G[W] is below that round's k_max.
+    */
+  private def droppedInRound2(g: repro.graph.LocalGraph, psi: Pattern, bound: Array[Long],
+                              w0: Int, w1: Int): Int = {
+    val order = (0 until g.n).sortBy(v => -bound(v)).toArray
+    val k1    = CliqueCore.decompose(g.induced(order.take(w0)), psi).kMax
+    CoreApp.gamma(g.induced(order.take(w1)), psi).count(_ < k1)
+  }
+
+  for (seed <- 1 to 3) {
+    test(s"pruned CoreApp and EMcore equal a full decomposition on multi-round inputs (seed=$seed)") {
+      // a K16 and a K14 planted in a power-law graph: the top-16 by degree
+      // hold hubs and part of the cliques, so the second round already knows
+      // a k_max that some vertices of its G[W] cannot reach
+      val base = SynthGraphs.powerLaw(600, 1800, 2.2, seed)
+      val g    = SynthGraphs.plantClique(SynthGraphs.plantClique(base, 16, seed), 14, seed + 10)
+      val deg  = Array.tabulate(g.n)(g.degree(_).toLong)
+      val kc   = KCore.decompose(g)
+      assert(droppedInRound2(g, Pattern.Edge, deg, 16, 32) > 0)
+      assert(droppedInRound2(g, Pattern.Edge, deg, 75, 150) > 0)
+      val (k, vs) = EMcore.kMaxCore(g)
+      assert(k == kc.kMax && vs.toSet == kc.coreVertices(kc.kMax).toSet)
+      for (psi <- Seq(Pattern.Edge, Pattern.Triangle, Pattern.Clique(4))) {
+        val full        = CliqueCore.decompose(g, psi)
+        val (k, vs, mu) = CoreApp.kMaxCore(g, psi)
+        assert(droppedInRound2(g, psi, CoreApp.gamma(g, psi), 16, 32) > 0, s"Ψ=$psi")
+        assert(k == full.kMax, s"Ψ=$psi")
+        assert(vs.toSet == full.kMaxCoreVertices.toSet, s"Ψ=$psi")
+        assert(mu == Densest.countWithin(psi.instances(g), g.n, vs), s"Ψ=$psi")
+      }
+    }
+  }
+
   // ---- NucleusAND as an approximation algorithm ----
 
   test("NucleusAND.run returns the same core as IncApp") {

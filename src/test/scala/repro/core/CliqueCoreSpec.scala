@@ -151,6 +151,37 @@ class CliqueCoreSpec extends AnyFunSuite {
     intercept[IllegalArgumentException](CliqueCore.decomposeInstances(0, Array(Array(0))))
   }
 
+  test("decomposeInstances rejects a jagged instance list by name") {
+    val e = intercept[IllegalArgumentException](
+      CliqueCore.decomposeInstances(5, Array(Array(0, 1, 2), Array(1, 2, 3), Array(3, 4))))
+    assert(e.getMessage.contains("instance 2") && e.getMessage.contains("2 vertices"))
+  }
+
+  for (seed <- 1 to 4; p <- Seq(Pattern.Edge, Pattern.Triangle, Pattern.Clique(4), Pattern.Star(2),
+                                Pattern.Diamond, Pattern.TwoTriangle)) {
+    test(s"flat decompose equals decomposeInstances over the instance arrays ($p, seed=$seed)") {
+      val g = TestUtil.randomGraph(30, 0.3, seed)
+      val a = CliqueCore.decompose(g, p)
+      val b = CliqueCore.decomposeInstances(g.n, p.instances(g))
+      assert(a.core.toSeq == b.core.toSeq)
+      assert(a.order.toSeq == b.order.toSeq)
+      assert(a.totalInstances == b.totalInstances && a.totalInstances > 0)
+      assert(a.bestInstances == b.bestInstances)
+      assert(a.bestSuffix == b.bestSuffix)
+    }
+  }
+
+  test("flat decompose equals decomposeInstances where the store grows (K20, triangle and 4-clique)") {
+    val g = TestUtil.complete(20)
+    for (p <- Seq(Pattern.Triangle, Pattern.Clique(4))) {
+      val a = CliqueCore.decompose(g, p)
+      val b = CliqueCore.decomposeInstances(g.n, p.instances(g))
+      assert(a.totalInstances == p.count(g) && a.totalInstances > 1024)
+      assert(a.core.toSeq == b.core.toSeq && a.order.toSeq == b.order.toSeq)
+      assert(a.bestInstances == b.bestInstances && a.bestSuffix == b.bestSuffix)
+    }
+  }
+
   test("decomposeInstances rejects an instance that repeats a vertex") {
     val e = intercept[IllegalArgumentException](
       CliqueCore.decomposeInstances(5, Array(Array(0, 1, 2), Array(3, 1, 3))))

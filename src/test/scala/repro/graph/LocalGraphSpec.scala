@@ -2,6 +2,7 @@ package repro.graph
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestUtil
+import scala.collection.mutable
 
 class LocalGraphSpec extends AnyFunSuite {
 
@@ -90,6 +91,40 @@ class LocalGraphSpec extends AnyFunSuite {
     val g = LocalGraph.fromEdges(Nil)
     assert(g.n == 0 && g.m == 0 && g.maxDegree == 0)
     assert(g.components(Array.range(0, g.n)).isEmpty)
+  }
+
+  /** The naive build: a HashSet of canonical pairs, a TreeSet of ids. */
+  private def naive(edges: Seq[(Long, Long)], extra: Seq[Long]): (Array[Long], Array[Array[Int]]) = {
+    val canon = mutable.HashSet.empty[(Long, Long)]
+    edges.foreach { case (a, b) => if (a != b) canon += (if (a < b) (a, b) else (b, a)) }
+    val ids = (mutable.TreeSet.empty[Long] ++ canon.flatMap(e => Seq(e._1, e._2)) ++ extra).toArray
+    val at  = ids.zipWithIndex.toMap
+    val adj = Array.fill(ids.length)(mutable.TreeSet.empty[Int])
+    canon.foreach { case (a, b) => adj(at(a)) += at(b); adj(at(b)) += at(a) }
+    (ids, adj.map(_.toArray))
+  }
+
+  for (seed <- 1 to 8) {
+    test(s"fromEdges equals the naive HashSet/TreeSet build (seed=$seed)") {
+      // ids spread over the whole Long range, with self-loops, duplicates,
+      // reversed pairs and extra vertices, some of them also endpoints
+      val rnd   = new scala.util.Random(seed)
+      val pool  = Array.fill(60)(rnd.nextLong() >> rnd.nextInt(64))
+      val edges = Seq.fill(300) {
+        val a = pool(rnd.nextInt(pool.length))
+        rnd.nextInt(10) match {
+          case 0 => (a, a)
+          case _ => (a, pool(rnd.nextInt(pool.length)))
+        }
+      }
+      val noisy = edges ++ edges.take(50) ++ edges.take(50).map(_.swap)
+      val extra = Seq.fill(10)(if (rnd.nextBoolean()) pool(rnd.nextInt(pool.length)) else rnd.nextLong())
+      val g          = LocalGraph.fromEdges(noisy, extra)
+      val (ids, adj) = naive(noisy, extra)
+      assert(g.ids.toSeq == ids.toSeq)
+      assert(g.adj.map(_.toSeq).toSeq == adj.map(_.toSeq).toSeq)
+      assert(g.m == adj.map(_.length).sum / 2 && g.maxDegree == adj.map(_.length).max)
+    }
   }
 
   test("edgesExternal round-trips through fromEdges") {

@@ -124,6 +124,17 @@ class SpecialCoresSpec extends AnyFunSuite {
     assert(mu == psi.count(g.induced(vs)))
   }
 
+  test("a saturated μ is never taken as the densest residual (8-star, two hubs, 900 leaves each)") {
+    // every residual's running μ is saturated, so none is known to beat the
+    // whole graph, which is in fact the densest: a leaf's removal keeps
+    // (1 + 893/901)/2 = 1794/1802 of μ on 1801/1802 of the vertices
+    val g   = twoHubs(900)
+    val dec = SpecialCores.decomposeStar(g, 8)
+    assert(dec.bestSuffix == 0)
+    assert(dec.bestResidualVertices.length == g.n)
+    assert(dec.bestInstances == Long.MaxValue)
+  }
+
   test("diamond optimized peel equals the generic peel on a hub-heavy graph") {
     // three hubs, each adjacent to most of 80 vertices, over sparse noise:
     // a hub's removal changes the C4 degree of nearly every vertex
