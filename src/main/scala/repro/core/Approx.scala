@@ -23,9 +23,8 @@ object PeelApp {
   */
 object IncApp {
   def run(g: LocalGraph, psi: Pattern): Subgraph = {
-    val instances = psi.instances(g)
-    if (instances.isEmpty) return Subgraph.none(g)
-    val dec = CliqueCore.decomposeInstances(g.n, instances)
-    Densest.subgraphOf(instances, g.n, dec.kMaxCoreVertices)
+    val store = CliqueCore.instancesOf(g, psi)
+    if (store.count == 0) return Subgraph.none(g)
+    store.subgraph(g.n, CliqueCore.peel(g.n, store).kMaxCoreVertices)
   }
 }

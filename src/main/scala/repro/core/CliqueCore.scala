@@ -24,7 +24,8 @@ object CliqueCore {
   /** Decomposition output.
     *
     * @param core          clique-core number per local vertex id
-    * @param order         vertices in peel (removal) order
+    * @param order         vertices in peel (removal) order; their core
+    *                      numbers never fall along it
     * @param totalInstances μ(G, Ψ)
     * @param bestInstances μ of the densest residual subgraph
     * @param bestSuffix    index into `order` such that order[bestSuffix..] is
@@ -41,12 +42,15 @@ object CliqueCore {
     def bestDensity: Double =
       if (order.isEmpty) 0.0 else bestInstances.toDouble / (order.length - bestSuffix)
 
-    /** Vertices (local ids) of the (k, Ψ)-core. */
+    /** Vertices (local ids) of the (k, Ψ)-core, ascending. Core numbers
+      * never fall along the peel order, so the core is a suffix of it. */
     def coreVertices(k: Long): Array[Int] = {
-      val out = new mutable.ArrayBuilder.ofInt
-      var v   = 0
-      while (v < core.length) { if (core(v) >= k) out += v; v += 1 }
-      out.result()
+      var lo = 0
+      var hi = order.length
+      while (lo < hi) { val mid = (lo + hi) >>> 1; if (core(order(mid)) >= k) hi = mid else lo = mid + 1 }
+      val vs = java.util.Arrays.copyOfRange(order, lo, order.length)
+      java.util.Arrays.sort(vs)
+      vs
     }
 
     /** Vertices of the (k_max, Ψ)-core. */
@@ -77,20 +81,97 @@ object CliqueCore {
   private[core] final class Instances(val h: Int, val data: Array[Int], val count: Int) {
 
     /** The number of instances inside `vs`, a subset of 0 until n. */
-    def countWithin(n: Int, vs: Array[Int]): Long = {
-      val in = new Array[Boolean](n)
-      var i  = 0
-      while (i < vs.length) { in(vs(i)) = true; i += 1 }
-      var c = 0L
-      i = 0
+    def countWithin(n: Int, vs: Array[Int]): Long = loads(n, Vector(vs))._1(0)
+
+    /** `vs` with its μ and density. */
+    def subgraph(n: Int, vs: Array[Int]): Subgraph = {
+      val mu = countWithin(n, vs)
+      Subgraph(vs, mu, if (vs.isEmpty) 0.0 else mu.toDouble / vs.length)
+    }
+
+    /** The part of instance i if all its vertices lie in one, else -1. */
+    private def partOf(part: Array[Int], i: Int): Int = {
+      if (h == 0) return -1
+      val end = (i + 1) * h
+      var p   = part(data(i * h))
+      var j   = i * h + 1
+      while (p >= 0 && j < end) { if (part(data(j)) != p) p = -1; j += 1 }
+      p
+    }
+
+    /** One pass for disjoint vertex sets `parts` of 0 until n: per part, μ
+      * (its instances, those whose vertices all lie in it) and its largest
+      * load (the most of its instances that one of its vertices lies in).
+      *
+      * @throws IllegalArgumentException as [[partition]] does
+      */
+    def loads(n: Int, parts: IndexedSeq[Array[Int]]): (Array[Long], Array[Long]) = {
+      val part = label(n, parts)._1
+      val mu   = new Array[Long](parts.length)
+      val max  = new Array[Long](parts.length)
+      val load = new Array[Int](n)
+      var i    = 0
       while (i < count) {
-        var j = i * h
-        while (j < (i + 1) * h && in(data(j))) j += 1
-        if (j == (i + 1) * h) c += 1
+        val p = partOf(part, i)
+        if (p >= 0) {
+          mu(p) += 1
+          var j = i * h
+          while (j < (i + 1) * h) { val v = data(j); load(v) += 1; if (load(v) > max(p)) max(p) = load(v); j += 1 }
+        }
         i += 1
       }
-      c
+      (mu, max)
     }
+
+    /** One pass for disjoint vertex sets `parts` of 0 until n: part p gets
+      * its instances in store order, renumbered to positions in parts(p) and
+      * sorted, one array each.
+      *
+      * @throws IllegalArgumentException if a part vertex is outside [0, n)
+      *         or in two parts
+      */
+    def partition(n: Int, parts: IndexedSeq[Array[Int]]): Array[Array[Array[Int]]] = {
+      val (part, pos) = label(n, parts)
+      val out = Array.fill(parts.length)(Array.newBuilder[Array[Int]])
+      var i   = 0
+      while (i < count) {
+        val p = partOf(part, i)
+        if (p >= 0) {
+          val a = new Array[Int](h)
+          var j = 0
+          while (j < h) { a(j) = pos(data(i * h + j)); j += 1 }
+          java.util.Arrays.sort(a)
+          out(p) += a
+        }
+        i += 1
+      }
+      out.map(_.result())
+    }
+
+    /** The instances inside `vs`, renumbered to positions in `vs` and sorted. */
+    def restrict(n: Int, vs: Array[Int]): Array[Array[Int]] = partition(n, Vector(vs))(0)
+  }
+
+  /** Part and position in it of every vertex of 0 until n in one of the
+    * disjoint `parts`; part -1 for the others. */
+  private def label(n: Int, parts: IndexedSeq[Array[Int]]): (Array[Int], Array[Int]) = {
+    val part = new Array[Int](n)
+    val pos  = new Array[Int](n)
+    java.util.Arrays.fill(part, -1)
+    var p    = 0
+    while (p < parts.length) {
+      val vs = parts(p)
+      var i  = 0
+      while (i < vs.length) {
+        val v = vs(i)
+        if (v < 0 || v >= n) throw new IllegalArgumentException(s"part vertex $v is outside [0, $n)")
+        if (part(v) >= 0) throw new IllegalArgumentException(s"vertex $v is in parts ${part(v)} and $p")
+        part(v) = p; pos(v) = i
+        i += 1
+      }
+      p += 1
+    }
+    (part, pos)
   }
 
   /** Collects instances of h >= 1 vertices in fixed-size chunks, then

@@ -52,7 +52,7 @@ object CoreApp {
   private[core] def topDown(g: LocalGraph, psi: Pattern, bound: Array[Long],
                             w0: Int, grow: Int => Int): (Long, Array[Int], Long) = {
     val n     = g.n
-    val order = (0 until n).sortBy(v => -bound(v)).toArray
+    val order = byBoundDescending(bound)
     var w     = math.min(n, w0)
     var kMax  = 0L
     var best  = Array.empty[Int] // in g-local ids
@@ -82,6 +82,26 @@ object CoreApp {
       if (!done) w = math.min(n, grow(w))
     }
     (kMax, best, bestMu())
+  }
+
+  /** 0 until bound.length by `bound` descending, ties by id ascending, with
+    * no boxing: each vertex sorts as (rank of its bound from the top, id)
+    * packed in one Long. */
+  private[core] def byBoundDescending(bound: Array[Long]): Array[Int] = {
+    val n = bound.length
+    // distinct(0 until d): the distinct bounds, ascending
+    val distinct = bound.clone()
+    java.util.Arrays.sort(distinct)
+    var d, v = 0
+    while (v < n) { if (d == 0 || distinct(v) != distinct(d - 1)) { distinct(d) = distinct(v); d += 1 }; v += 1 }
+    val key = new Array[Long](n)
+    v = 0
+    while (v < n) { key(v) = (d - 1L - java.util.Arrays.binarySearch(distinct, 0, d, bound(v))) << 32 | v; v += 1 }
+    java.util.Arrays.sort(key)
+    val order = new Array[Int](n)
+    v = 0
+    while (v < n) { order(v) = key(v).toInt; v += 1 }
+    order
   }
 
   /** (k_max, (k_max, Ψ)-core, μ of that core when asked) of `g` by a full

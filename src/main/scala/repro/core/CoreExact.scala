@@ -43,12 +43,12 @@ object CoreExact {
   def run(g: LocalGraph, psi: Pattern): Subgraph = runWithStats(g, psi)._1
 
   def runWithStats(g: LocalGraph, psi: Pattern): (Subgraph, Stats) = {
-    val t0        = System.nanoTime()
-    val n         = g.n
-    val instances = psi.instances(g)
-    val dec       = CliqueCore.decomposeInstances(n, instances)
-    val tCore     = System.nanoTime() - t0
-    if (instances.isEmpty)
+    val t0    = System.nanoTime()
+    val n     = g.n
+    val store = CliqueCore.instancesOf(g, psi)
+    val dec   = CliqueCore.peel(n, store)
+    val tCore = System.nanoTime() - t0
+    if (store.count == 0)
       return (Subgraph.none(g), Stats(tCore, System.nanoTime() - t0, Vector.empty, 0))
 
     val h    = psi.numVertices
@@ -62,24 +62,13 @@ object CoreExact {
     val kPrime  = math.max(1L, ceilDensity(best))
     val kpVerts = dec.coreVertices(kPrime)
 
-    // Pruning 2: per-component densities of the (k', Ψ)-core, one pass over Λ.
-    val compsKp = g.components(kpVerts)
-    locally {
-      val compId = Array.fill(n)(-1)
-      compsKp.iterator.zipWithIndex.foreach { case (cc, i) => cc.foreach(compId(_) = i) }
-      val perComp = new Array[Long](compsKp.length)
-      instances.foreach { inst =>
-        val c0 = compId(inst(0))
-        if (c0 >= 0) {
-          var ok = true; var i = 1
-          while (ok && i < inst.length) { ok = compId(inst(i)) == c0; i += 1 }
-          if (ok) perComp(c0) += 1
-        }
-      }
-      compsKp.iterator.zipWithIndex.foreach { case (cc, i) =>
-        val dens = perComp(i).toDouble / cc.length
-        if (dens > best.density) best = Subgraph(cc, perComp(i), dens)
-      }
+    // Pruning 2: per-component densities of the (k', Ψ)-core; the same pass
+    // over Λ gives each component its largest load (Optimization 5)
+    val compsKp        = g.components(kpVerts)
+    val (muKp, loadKp) = store.loads(n, compsKp)
+    compsKp.indices.foreach { i =>
+      val dens = muKp(i).toDouble / compsKp(i).length
+      if (dens > best.density) best = Subgraph(compsKp(i), muKp(i), dens)
     }
     val kPP = math.max(kPrime, ceilDensity(best))
 
@@ -88,9 +77,15 @@ object CoreExact {
       case _: Pattern.Clique => DensestFlow.ungrouped
       case _                 => DensestFlow.group
     }
-    // Pruning 3: one pass gives each sorted component its own instance list
-    val comps  = g.components(dec.coreVertices(kPP))
-    val parts  = Densest.partition(instances, n, comps)
+    // Pruning 3: the components of the (k'', Ψ)-core (the (k', Ψ)-core unless
+    // Pruning 2 raised k'') and their largest loads. As the best only grows,
+    // only a component that misses the bound now can need a network; the
+    // first that does gives each of them its renumbered list, in one pass.
+    val (comps, load) =
+      if (kPP == kPrime) (compsKp, loadKp)
+      else { val cs = g.components(dec.coreVertices(kPP)); (cs, store.loads(n, cs)._2) }
+    def bounded(load: Long, b: Subgraph): Boolean = load * b.size <= h.toLong * b.instances
+    lazy val lists = store.partition(n, comps.indices.map(c => if (bounded(load(c), best)) Array.emptyIntArray else comps(c)))
     val search = new DensitySearch((nv, local) => new DensestFlow.Network(
       nv, DensestFlow.pruneLemma8(nv, group(local), h), h), best)
     // positions in vs of the vertices of the (k, Ψ)-core
@@ -99,24 +94,30 @@ object CoreExact {
     var byBound, byCut = 0
     comps.indices.foreach { c =>
       val cc = comps(c)
-      // shrink to the (⌈ρ⌉, Ψ)-core of the best density ρ so far if it exceeds k''
-      var shrinkK = math.max(kPP, ceilDensity(search.best))
-      val (cv, local) =
-        if (shrinkK == kPP) (cc, parts(c))
+      val b  = search.best
+      // shrink to the (⌈ρ⌉, Ψ)-core of the best density ρ so far if it exceeds
+      // k''; loads in that core are no larger, so a component whose own load
+      // meets the bound (Optimization 5) needs no list
+      var shrinkK = math.max(kPP, ceilDensity(b))
+      val open =
+        if (bounded(load(c), b)) None
+        else if (shrinkK == kPP) Some((cc, lists(c)))
         else {
           val keep = inCore(cc, shrinkK)
-          (keep.map(cc), Densest.restrict(parts(c), cc.length, keep))
+          val sub  = CliqueCore.flatten(lists(c))
+          if (bounded(sub.loads(cc.length, Vector(keep))._2(0), b)) None
+          else Some((keep.map(cc), sub.restrict(cc.length, keep)))
         }
-      val b = search.best
-      if (Densest.maxDegree(local, cv.length) * b.size <= h.toLong * b.instances) byBound += 1 // Optimization 5
-      else {
-        byCut += 1
-        search.on(cv, local)
-        search.climb(b.density, (found, vs) =>
-          // Optimization 4: locate the CDS in a higher core as ρ grows (it
-          // holds vs's densest subgraph, as dense as found or denser)
-          if (ceilDensity(found) <= shrinkK) vs.indices.toArray
-          else { shrinkK = ceilDensity(found); inCore(vs, shrinkK) })
+      open match {
+        case None => byBound += 1
+        case Some((cv, local)) =>
+          byCut += 1
+          search.on(cv, local)
+          search.climb(b.density, (found, vs) =>
+            // Optimization 4: locate the CDS in a higher core as ρ grows (it
+            // holds vs's densest subgraph, as dense as found or denser)
+            if (ceilDensity(found) <= shrinkK) vs.indices.toArray
+            else { shrinkK = ceilDensity(found); inCore(vs, shrinkK) })
       }
     }
     (search.best, Stats(tCore, System.nanoTime() - t0, search.nodeCounts.result(), search.probes,

@@ -47,62 +47,14 @@ object Densest {
     c
   }
 
-  /** The largest number of instances one vertex of 0 until n lies in. */
-  def maxDegree(instances: Array[Array[Int]], n: Int): Long = {
-    val deg = new Array[Int](n)
-    var max = 0
-    instances.foreach(_.foreach { v => deg(v) += 1; max = math.max(max, deg(v)) })
-    max
-  }
-
-  /** The instances inside `vs`, renumbered to positions in `vs` and sorted. */
+  /** The instances inside `vs`, renumbered to positions in `vs` and sorted:
+    * [[CliqueCore.Instances.restrict]] on a flat copy. */
   def restrict(instances: Array[Array[Int]], n: Int, vs: Array[Int]): Array[Array[Int]] =
-    partition(instances, n, Seq(vs))(0)
+    CliqueCore.flatten(instances).restrict(n, vs)
 
-  /** One pass over the instances for disjoint vertex sets `parts`: part p
-    * gets the instances whose vertices all lie in parts(p), in input order,
-    * renumbered to positions in parts(p) and sorted. An instance that the
-    * renumbering leaves in order (a clique, when parts(p) is sorted) is not
-    * sorted again.
-    */
-  def partition(instances: Array[Array[Int]], n: Int, parts: Seq[Array[Int]]): Array[Array[Array[Int]]] = {
-    val part = Array.fill(n)(-1)
-    val pos  = new Array[Int](n)
-    val out  = Array.fill(parts.length)(Array.newBuilder[Array[Int]])
-    var p = 0
-    parts.foreach { vs =>
-      var i = 0
-      while (i < vs.length) {
-        val v = vs(i)
-        if (v < 0 || v >= n) throw new IllegalArgumentException(s"part vertex $v is outside [0, $n)")
-        if (part(v) >= 0) throw new IllegalArgumentException(s"vertex $v is in parts ${part(v)} and $p")
-        part(v) = p; pos(v) = i
-        i += 1
-      }
-      p += 1
-    }
-    var k = 0
-    while (k < instances.length) {
-      val inst = instances(k)
-      p = if (inst.isEmpty) -1 else part(inst(0))
-      var j = 1
-      while (p >= 0 && j < inst.length && part(inst(j)) == p) j += 1
-      if (p >= 0 && j == inst.length) {
-        val a = new Array[Int](j)
-        var sorted = true
-        j = 0
-        while (j < a.length) {
-          a(j) = pos(inst(j))
-          if (j > 0 && a(j) < a(j - 1)) sorted = false
-          j += 1
-        }
-        if (!sorted) java.util.Arrays.sort(a)
-        out(p) += a
-      }
-      k += 1
-    }
-    out.map(_.result())
-  }
+  /** [[CliqueCore.Instances.partition]] on a flat copy of `instances`. */
+  def partition(instances: Array[Array[Int]], n: Int, parts: Seq[Array[Int]]): Array[Array[Array[Int]]] =
+    CliqueCore.flatten(instances).partition(n, parts.toIndexedSeq)
 
   /** Build a Subgraph record for vertex set `s` of a graph with n vertices. */
   def subgraphOf(instances: Array[Array[Int]], n: Int, s: Array[Int]): Subgraph = {

@@ -27,17 +27,20 @@ object KCore {
   def decompose(g: LocalGraph): Decomposition = {
     val n = g.n
     if (n == 0) return Decomposition(Array.empty, Array.empty, Array.empty)
-    val deg  = Array.tabulate(n)(g.degree)
-    val maxD = deg.max
+    val deg  = new Array[Int](n)
+    var maxD = 0
+    var v    = 0
+    while (v < n) { deg(v) = g.degree(v); maxD = math.max(maxD, deg(v)); v += 1 }
     // bin sort by degree
     val bin = new Array[Int](maxD + 2)
-    deg.foreach(d => bin(d) += 1)
+    v = 0
+    while (v < n) { bin(deg(v)) += 1; v += 1 }
     var start = 0
     var d = 0
     while (d <= maxD) { val c = bin(d); bin(d) = start; start += c; d += 1 }
     val pos  = new Array[Int](n)
     val vert = new Array[Int](n)
-    var v = 0
+    v = 0
     while (v < n) { pos(v) = bin(deg(v)); vert(pos(v)) = v; bin(deg(v)) += 1; v += 1 }
     d = maxD
     while (d >= 1) { bin(d) = bin(d - 1); d -= 1 }

@@ -19,9 +19,6 @@ object NucleusAND {
   def coreNumbers(g: LocalGraph, psi: Pattern): Array[Long] =
     coreNumbers(g.n, CliqueCore.instancesOf(g, psi))
 
-  def coreNumbersFromInstances(n: Int, instances: Array[Array[Int]]): Array[Long] =
-    coreNumbers(n, CliqueCore.flatten(instances))
-
   private def coreNumbers(n: Int, s: CliqueCore.Instances): Array[Long] = {
     val (off, ids) = CliqueCore.index(n, s)
     val est = new Array[Long](n) // start at Ψ-degree
@@ -68,11 +65,10 @@ object NucleusAND {
 
   /** The (k_max, Ψ)-core computed via the nucleus route. */
   def run(g: LocalGraph, psi: Pattern): Subgraph = {
-    val instances = psi.instances(g)
-    if (instances.isEmpty) return Subgraph.none(g)
-    val core = coreNumbersFromInstances(g.n, instances)
+    val store = CliqueCore.instancesOf(g, psi)
+    if (store.count == 0) return Subgraph.none(g)
+    val core = coreNumbers(g.n, store)
     val kMax = core.max
-    val vs   = core.indices.filter(core(_) >= kMax).toArray
-    Densest.subgraphOf(instances, g.n, vs)
+    store.subgraph(g.n, core.indices.filter(core(_) >= kMax).toArray)
   }
 }

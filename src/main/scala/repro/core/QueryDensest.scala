@@ -22,16 +22,16 @@ object QueryDensest {
     query.foreach(v => require(v >= 0 && v < g.n, s"query vertex $v is outside [0, ${g.n})"))
     val n         = g.n
     val h         = psi.numVertices
-    val instances = psi.instances(g)
-    if (instances.isEmpty) return Subgraph(query.toArray.sorted, 0L, 0.0)
-    val dec = CliqueCore.decomposeInstances(n, instances)
+    val store     = CliqueCore.instancesOf(g, psi)
+    if (store.count == 0) return Subgraph(query.toArray.sorted, 0L, 0.0)
+    val dec = CliqueCore.peel(n, store)
     val x   = query.map(dec.core(_)).min
     val kLoc = (x + h - 1) / h // ⌈x/|V_Ψ|⌉
 
     // candidate vertex set: the localization core plus Q itself
     val cand   = (dec.coreVertices(kLoc).toSet ++ query).toArray.sorted
     val pinned = query.toArray.map(java.util.Arrays.binarySearch(cand, _))
-    val local  = Densest.restrict(instances, n, cand)
+    val local  = store.restrict(n, cand)
     // seed: the smallest core containing Q is itself a Q-containing candidate
     val search = new DensitySearch((nv, inst) => new DensestFlow.Network(nv, DensestFlow.group(inst), h, pinned),
       Subgraph(cand, local.length.toLong, local.length.toDouble / cand.length))

@@ -84,7 +84,7 @@ final class LocalGraph(val ids: Array[Long], val adj: Array[Array[Int]]) extends
   /** Connected components of the subgraph induced by `subset`, each a
     * sorted array of local ids, in order of their first vertex in `subset`.
     */
-  def components(subset: Array[Int]): Seq[Array[Int]] = {
+  def components(subset: Array[Int]): IndexedSeq[Array[Int]] = {
     val inSet = new Array[Boolean](n)
     subset.foreach(inSet(_) = true)
     val seen = new Array[Boolean](n)
@@ -106,7 +106,7 @@ final class LocalGraph(val ids: Array[Long], val adj: Array[Array[Int]]) extends
         out += c
       }
     }
-    out.toSeq
+    out.toIndexedSeq
   }
 
   override def toString: String = s"LocalGraph(n=$n, m=$m)"

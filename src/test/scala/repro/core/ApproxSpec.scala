@@ -197,4 +197,31 @@ class ApproxSpec extends AnyFunSuite {
       }
     }
   }
+
+  // ---- the flat store against the array path ----
+
+  for (seed <- 1 to 4; (p, nm) <- patterns) {
+    test(s"IncApp and NucleusAND.run equal the array path (seed=$seed, Ψ=$nm)") {
+      val g    = TestUtil.randomGraph(18, 0.4, seed)
+      val inst = p.instances(g)
+      assert(inst.nonEmpty)
+      val ref  = Densest.subgraphOf(inst, g.n, CliqueCore.decomposeInstances(g.n, inst).kMaxCoreVertices)
+      for ((algo, r) <- Seq(("IncApp", IncApp.run(g, p)), ("NucleusAND", NucleusAND.run(g, p)))) {
+        assert(r.vertices.toSeq == ref.vertices.toSeq, algo)
+        assert(r.instances == ref.instances && r.density == ref.density, algo)
+      }
+    }
+  }
+
+  test("CoreApp orders vertices as a stable sort by bound descending, saturated bounds first") {
+    val rnd = new scala.util.Random(3)
+    for (n <- Seq(0, 1, 7, 200)) {
+      val bound = Array.fill(n)(rnd.nextInt(6) match {
+        case 0 => Long.MaxValue
+        case 1 => 0L
+        case k => k.toLong * 1000000007L
+      })
+      assert(CoreApp.byBoundDescending(bound).toSeq == (0 until n).sortBy(v => -bound(v)), s"n=$n")
+    }
+  }
 }

@@ -187,5 +187,64 @@ class CliqueCoreSpec extends AnyFunSuite {
       CliqueCore.decomposeInstances(5, Array(Array(0, 1, 2), Array(3, 1, 3))))
     assert(e.getMessage.contains("vertex 3") && e.getMessage.contains("instance 1"))
   }
+
+  private val storePatterns = Seq((Pattern.Edge, "edge"), (Pattern.Triangle, "triangle"),
+                                  (Pattern.Clique(4), "4-clique"), (Pattern.Diamond, "diamond"),
+                                  (Pattern.Star(2), "2-star"))
+
+  /** Disjoint sorted parts of 0 until n: two random slices, an empty part, a
+    * singleton (no instance fits it), and some vertices in no part. */
+  private def randomParts(n: Int, seed: Int): IndexedSeq[Array[Int]] = {
+    val order = new scala.util.Random(seed).shuffle((0 until n).toVector).toArray
+    Vector(order.slice(0, n / 2).sorted, Array.emptyIntArray, order.slice(n / 2, n - 5).sorted,
+           Array(order(n - 5)))
+  }
+
+  for (seed <- 1 to 5; (p, nm) <- storePatterns) {
+    test(s"per-part μ and largest load equal a per-vertex count (Ψ=$nm, seed=$seed)") {
+      val g     = TestUtil.randomGraph(24, 0.45, seed)
+      val inst  = p.instances(g)
+      val parts = randomParts(g.n, seed)
+      val (mu, load) = CliqueCore.instancesOf(g, p).loads(g.n, parts)
+      assert(mu.length == parts.length && load.length == parts.length)
+      parts.indices.foreach { i =>
+        val in     = parts(i).toSet
+        val inside = inst.filter(_.forall(in))
+        val loads  = parts(i).map(v => inside.count(_.contains(v)).toLong)
+        assert(mu(i) == inside.length, s"part $i μ")
+        assert(load(i) == (if (loads.isEmpty) 0L else loads.max), s"part $i load")
+      }
+      assert(mu.sum > 0 && mu(1) == 0 && mu(3) == 0 && load(3) == 0)
+      // one part holding every vertex: μ(G) and the largest Ψ-degree
+      val (all, maxDeg) = CliqueCore.instancesOf(g, p).loads(g.n, Vector(Array.range(0, g.n)))
+      assert(all(0) == inst.length && maxDeg(0) == p.degrees(g).max)
+    }
+  }
+
+  for (seed <- 1 to 3; (p, nm) <- storePatterns) {
+    test(s"store restrict and partition equal the array path, instance for instance (Ψ=$nm, seed=$seed)") {
+      val g     = TestUtil.randomGraph(24, 0.45, seed)
+      val inst  = p.instances(g)
+      val store = CliqueCore.instancesOf(g, p)
+      val parts = randomParts(g.n, seed)
+      def seqs(a: Array[Array[Int]]) = a.toSeq.map(_.toSeq)
+      parts.foreach { vs =>
+        val pos   = Array.fill(g.n)(-1)
+        vs.indices.foreach(i => pos(vs(i)) = i)
+        val naive = inst.toSeq.filter(_.forall(pos(_) >= 0)).map(_.map(pos).sorted.toSeq)
+        assert(seqs(store.restrict(g.n, vs)) == naive)
+        assert(seqs(store.restrict(g.n, vs)) == seqs(Densest.restrict(inst, g.n, vs)))
+      }
+      assert(store.partition(g.n, parts).map(seqs).toSeq == parts.map(vs => seqs(Densest.restrict(inst, g.n, vs))))
+    }
+  }
+
+  test("loads rejects overlapping parts and vertices outside [0, n)") {
+    val store = CliqueCore.instancesOf(TestUtil.complete(4), Pattern.Triangle)
+    val e1 = intercept[IllegalArgumentException](store.loads(4, Vector(Array(0, 1), Array(1, 2))))
+    assert(e1.getMessage.contains("vertex 1"), e1.getMessage)
+    val e2 = intercept[IllegalArgumentException](store.loads(4, Vector(Array(4))))
+    assert(e2.getMessage.contains("4"), e2.getMessage)
+  }
 }
 

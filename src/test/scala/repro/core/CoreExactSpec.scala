@@ -297,4 +297,51 @@ class CoreExactSpec extends AnyFunSuite {
       assert(st.networkArcCounts == arcs)
     }
   }
+
+  // Certificates pinned to the values before the load bound was computed on
+  // the flat store: (certifiedByBound, certifiedByCut, components, probes)
+  // per planted union, kind, seed and Ψ. In kind (a) the second component is
+  // pre-filtered to a higher core and closed by the bound (its unfiltered
+  // load already meets it); the first and last get networks.
+  private val a4 = (1, 2, 3, 4)
+  for ((kind, sats, junk, hubs, pins) <- Seq(
+         ("(a) later components pre-filtered", Seq.fill(14)(12), Seq(15, 15) ++ (4 to 14), false,
+          Map(1 -> Seq(a4, a4, a4, a4), 2 -> Seq(a4, a4, a4, a4), 4 -> Seq(a4, a4, a4, a4),
+              7 -> Seq(a4, a4, a4, a4))),
+         ("(b) haloed CDS", Seq.fill(14)(14) ++ Seq.fill(10)(10), Seq(17, 17), false,
+          Map(1 -> Seq((1, 2, 3, 5), a4, (2, 1, 3, 2), (2, 1, 3, 2)),
+              2 -> Seq(a4, (1, 2, 3, 3), (2, 1, 3, 2), (1, 2, 3, 3)),
+              4 -> Seq(a4, a4, (2, 1, 3, 2), (1, 2, 3, 3)),
+              6 -> Seq(a4, a4, (2, 1, 3, 2), (1, 2, 3, 3)))),
+         ("(a) hub-haloed", Seq.fill(14)(12), Seq(15, 15) ++ (4 to 14), true,
+          Map(1 -> Seq(a4, a4, a4, (1, 2, 3, 2)), 2 -> Seq(a4, a4, a4, (1, 2, 3, 2)),
+              4 -> Seq(a4, a4, a4, (1, 2, 3, 2)), 6 -> Seq(a4, a4, a4, (1, 2, 3, 2)))),
+         ("(b) hub-haloed", (15 to 6 by -1).flatMap(Seq.fill(6)(_)), Seq(17, 17), true,
+          Map(1 -> Seq((1, 2, 3, 5), a4, (2, 1, 3, 3), (0, 1, 1, 1)),
+              2 -> Seq((1, 2, 3, 5), a4, (2, 1, 3, 3), (0, 1, 1, 1)),
+              4 -> Seq(a4, a4, (2, 1, 3, 3), (0, 1, 1, 1)),
+              6 -> Seq((1, 2, 3, 5), a4, (2, 1, 3, 3), (0, 1, 1, 1)))));
+       (seed, byPattern) <- pins) {
+    test(s"same certificates as before on planted unions: $kind (seed=$seed)") {
+      val g = plantedUnion(seed, sats, junk, hubs)
+      unionPatterns.zip(byPattern).foreach { case ((p, nm), pin) =>
+        val (_, st) = CoreExact.runWithStats(g, p)
+        assert((st.certifiedByBound, st.certifiedByCut, st.components, st.probes) == pin, s"Ψ=$nm")
+      }
+    }
+  }
+
+  test("same search as before where a pre-filtered component misses its unfiltered load bound but meets its own") {
+    // three G(12, 0.4) side by side, Ψ = 2-triangle: the last component is
+    // cut to a higher core, its load over the whole component misses the
+    // bound and its load over that core meets it
+    val parts = Seq(93, 1093, 2093).map(TestUtil.randomGraph(12, 0.4, _))
+    val g     = LocalGraph.fromEdges(parts.zipWithIndex.flatMap { case (q, i) =>
+      q.edgesExternal.map { case (u, v) => (u + 100L * i, v + 100L * i) } })
+    val (r, st) = CoreExact.runWithStats(g, Pattern.TwoTriangle)
+    assert((st.certifiedByBound, st.certifiedByCut, st.components, st.probes) == ((1, 2, 3, 3)))
+    assert(st.networkNodeCounts == Vector(40, 33, 24) && st.networkArcCounts == Vector(232L, 194L, 128L))
+    assert(st.augmentingPhases == 8)
+    assert(r.instances == 32L && r.externalIds(g).sorted.sameElements(Seq(0L, 1, 3, 4, 5, 7, 8, 10, 11)))
+  }
 }

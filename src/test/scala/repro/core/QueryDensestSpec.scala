@@ -101,4 +101,18 @@ class QueryDensestSpec extends AnyFunSuite {
       assert(e.getMessage.contains(s"vertex $v ") && e.getMessage.contains("[0, 4)"), e.getMessage)
     }
   }
+
+  for (seed <- 1 to 4; (p, nm) <- Seq((Pattern.Edge, "edge"), (Pattern.Triangle, "triangle"),
+                                       (Pattern.Clique(4), "4-clique"), (Pattern.Diamond, "diamond"),
+                                       (Pattern.Star(2), "2-star"))) {
+    test(s"μ and density equal the array path; density equals brute force (seed=$seed, Ψ=$nm)") {
+      val g    = TestUtil.randomGraph(12, 0.5, seed)
+      val q    = Set(seed % g.n, (5 * seed + 2) % g.n)
+      val r    = QueryDensest.run(g, p, q)
+      val ref  = Densest.subgraphOf(p.instances(g), g.n, r.vertices)
+      assert(r.instances == ref.instances && r.density == ref.density)
+      assert(math.abs(r.density - QueryDensest.bruteForce(g, p, q).density) < 1e-9)
+      assert(q.subsetOf(r.vertices.toSet))
+    }
+  }
 }
