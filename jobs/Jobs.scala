@@ -35,7 +35,7 @@ object F19Speedups {
   */
 object DistributedDemo {
   def main(args: Array[String]): Unit = {
-    val spark = SparkSession.builder
+    val spark = SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName("repro-distributed-demo")
       .config("spark.sql.shuffle.partitions", "16")

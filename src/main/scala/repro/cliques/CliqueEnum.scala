@@ -2,9 +2,9 @@ package repro.cliques
 
 import repro.core.KCore
 import repro.graph.LocalGraph
-import scala.collection.mutable
 
-/** h-clique listing and clique-degrees.
+/** h-clique listing, the kernel of [[repro.patterns.Pattern.Clique]]: its
+  * instances, clique-degrees and counts all come from [[forEach]].
   *
   * Degeneracy-ordered listing in the style of kClist (Danisch, Balalau,
   * Sozio, WWW'18): orient every edge from lower to higher degeneracy rank,
@@ -133,29 +133,5 @@ object CliqueEnum {
       rec(1)
       v += 1
     }
-  }
-
-  /** Total number of h-cliques in `g`. */
-  def count(g: LocalGraph, h: Int): Long = {
-    var c = 0L
-    forEach(g, h)(_ => c += 1)
-    c
-  }
-
-  /** Clique-degree deg_G(v, Ψ) per local vertex (Definition 3). */
-  def degrees(g: LocalGraph, h: Int): Array[Long] = {
-    val d = new Array[Long](g.n)
-    forEach(g, h) { cl =>
-      var i = 0
-      while (i < cl.length) { d(cl(i)) += 1; i += 1 }
-    }
-    d
-  }
-
-  /** Materialize all h-clique instances (sorted local-id arrays). */
-  def instances(g: LocalGraph, h: Int): Array[Array[Int]] = {
-    val buf = mutable.ArrayBuffer.empty[Array[Int]]
-    forEach(g, h)(cl => buf += cl.clone())
-    buf.toArray
   }
 }

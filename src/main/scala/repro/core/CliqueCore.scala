@@ -1,6 +1,5 @@
 package repro.core
 
-import repro.cliques.CliqueEnum
 import repro.graph.LocalGraph
 import repro.patterns.Pattern
 import scala.collection.mutable
@@ -39,8 +38,7 @@ object CliqueCore {
     def kMax: Long = if (core.isEmpty) 0L else core.max
 
     /** ρ': max Ψ-density over all residual subgraphs. */
-    def bestDensity: Double =
-      if (order.isEmpty) 0.0 else bestInstances.toDouble / (order.length - bestSuffix)
+    def bestDensity: Double = bestResidual.density
 
     /** Vertices (local ids) of the (k, Ψ)-core, ascending. Core numbers
       * never fall along the peel order, so the core is a suffix of it. */
@@ -60,12 +58,10 @@ object CliqueCore {
     def bestResidualVertices: Array[Int] = order.drop(bestSuffix)
 
     /** The densest residual subgraph, μ as the peel counted it. */
-    def bestResidual: Subgraph = Subgraph(bestResidualVertices, bestInstances, bestDensity)
+    def bestResidual: Subgraph = Subgraph(bestResidualVertices, bestInstances)
   }
 
-  /** Decompose `g` w.r.t. pattern `psi`; h-cliques go from the listing
-    * kernel into the flat store with no array per instance.
-    */
+  /** Decompose `g` w.r.t. pattern `psi`, listed straight into the flat store. */
   def decompose(g: LocalGraph, psi: Pattern): Result = peel(g.n, instancesOf(g, psi))
 
   /** Decompose given pre-materialized instance arrays, copied into the flat
@@ -76,18 +72,20 @@ object CliqueCore {
   def decomposeInstances(n: Int, instances: Array[Array[Int]]): Result = peel(n, flatten(instances))
 
   /** Instances of a pattern on `h` vertices in one flat array with stride h:
-    * instance i holds `data(i * h until (i + 1) * h)`.
+    * instance i holds `data(i * h until (i + 1) * h)`. The one instance
+    * format from a pattern's listing to the flow network's groups.
     */
   private[core] final class Instances(val h: Int, val data: Array[Int], val count: Int) {
 
     /** The number of instances inside `vs`, a subset of 0 until n. */
     def countWithin(n: Int, vs: Array[Int]): Long = loads(n, Vector(vs))._1(0)
 
-    /** `vs` with its μ and density. */
-    def subgraph(n: Int, vs: Array[Int]): Subgraph = {
-      val mu = countWithin(n, vs)
-      Subgraph(vs, mu, if (vs.isEmpty) 0.0 else mu.toDouble / vs.length)
-    }
+    /** `vs` with its μ. */
+    def subgraph(n: Int, vs: Array[Int]): Subgraph = Subgraph(vs, countWithin(n, vs))
+
+    /** One array per instance, in store order: what the network builder reads. */
+    def toArrays: Array[Array[Int]] =
+      Array.tabulate(count)(i => java.util.Arrays.copyOfRange(data, i * h, (i + 1) * h))
 
     /** The part of instance i if all its vertices lie in one, else -1. */
     private def partOf(part: Array[Int], i: Int): Int = {
@@ -123,33 +121,38 @@ object CliqueCore {
       (mu, max)
     }
 
-    /** One pass for disjoint vertex sets `parts` of 0 until n: part p gets
-      * its instances in store order, renumbered to positions in parts(p) and
-      * sorted, one array each.
+    /** Two passes for disjoint vertex sets `parts` of 0 until n: part p gets
+      * its instances in store order, renumbered to positions in parts(p),
+      * each sorted within its stride.
       *
       * @throws IllegalArgumentException if a part vertex is outside [0, n)
       *         or in two parts
       */
-    def partition(n: Int, parts: IndexedSeq[Array[Int]]): Array[Array[Array[Int]]] = {
+    def partition(n: Int, parts: IndexedSeq[Array[Int]]): Array[Instances] = {
       val (part, pos) = label(n, parts)
-      val out = Array.fill(parts.length)(Array.newBuilder[Array[Int]])
-      var i   = 0
+      val of   = new Array[Int](count) // the part of each instance, or -1
+      val size = new Array[Int](parts.length)
+      var i    = 0
+      while (i < count) { of(i) = partOf(part, i); if (of(i) >= 0) size(of(i)) += 1; i += 1 }
+      val out = size.map(c => new Array[Int](c * h))
+      val at  = new Array[Int](parts.length)
+      i = 0
       while (i < count) {
-        val p = partOf(part, i)
+        val p = of(i)
         if (p >= 0) {
-          val a = new Array[Int](h)
+          val a = at(p)
           var j = 0
-          while (j < h) { a(j) = pos(data(i * h + j)); j += 1 }
-          java.util.Arrays.sort(a)
-          out(p) += a
+          while (j < h) { out(p)(a + j) = pos(data(i * h + j)); j += 1 }
+          java.util.Arrays.sort(out(p), a, a + h)
+          at(p) = a + h
         }
         i += 1
       }
-      out.map(_.result())
+      Array.tabulate(parts.length)(p => new Instances(h, out(p), size(p)))
     }
 
-    /** The instances inside `vs`, renumbered to positions in `vs` and sorted. */
-    def restrict(n: Int, vs: Array[Int]): Array[Array[Int]] = partition(n, Vector(vs))(0)
+    /** The instances inside `vs`, renumbered to positions in `vs`, each sorted. */
+    def restrict(n: Int, vs: Array[Int]): Instances = partition(n, Vector(vs))(0)
   }
 
   /** Part and position in it of every vertex of 0 until n in one of the
@@ -206,15 +209,13 @@ object CliqueCore {
     }
   }
 
-  /** The instances of `psi` in `g`; h-cliques straight from the kernel's
-    * reused emit buffer.
+  /** The instances of `psi` in `g`, collected from its listing's reused
+    * emit buffer.
     */
-  private[core] def instancesOf(g: LocalGraph, psi: Pattern): Instances = psi match {
-    case Pattern.Clique(h) =>
-      val c = new Collector(h)
-      CliqueEnum.forEach(g, h)(c)
-      c.result()
-    case _ => flatten(psi.instances(g))
+  private[core] def instancesOf(g: LocalGraph, psi: Pattern): Instances = {
+    val c = new Collector(psi.numVertices)
+    psi.forEach(g)(c)
+    c.result()
   }
 
   /** The flat copy of an instance list.

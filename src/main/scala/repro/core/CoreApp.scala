@@ -32,7 +32,7 @@ object CoreApp {
 
   def run(g: LocalGraph, psi: Pattern): Subgraph = {
     val (_, verts, inst) = kMaxCore(g, psi)
-    if (verts.isEmpty) Subgraph.none(g) else Subgraph(verts, inst, inst.toDouble / verts.length)
+    if (verts.isEmpty) Subgraph.none(g) else Subgraph(verts, inst)
   }
 
   /** Returns (k_max, vertex set of the (k_max, Ψ)-core in g-local ids,

@@ -67,27 +67,27 @@ object CoreExact {
     val compsKp        = g.components(kpVerts)
     val (muKp, loadKp) = store.loads(n, compsKp)
     compsKp.indices.foreach { i =>
-      val dens = muKp(i).toDouble / compsKp(i).length
-      if (dens > best.density) best = Subgraph(compsKp(i), muKp(i), dens)
+      val c = Subgraph(compsKp(i), muKp(i))
+      if (c.density > best.density) best = c
     }
     val kPP = math.max(kPrime, ceilDensity(best))
 
     // h-cliques never share a vertex set, so grouping them finds nothing
-    val group: IndexedSeq[Array[Int]] => Array[DensestFlow.Group] = psi match {
+    val group: Array[Array[Int]] => Array[DensestFlow.Group] = psi match {
       case _: Pattern.Clique => DensestFlow.ungrouped
       case _                 => DensestFlow.group
     }
     // Pruning 3: the components of the (k'', Ψ)-core (the (k', Ψ)-core unless
     // Pruning 2 raised k'') and their largest loads. As the best only grows,
     // only a component that misses the bound now can need a network; the
-    // first that does gives each of them its renumbered list, in one pass.
+    // first that does gives each of them its renumbered store, in one pass.
     val (comps, load) =
       if (kPP == kPrime) (compsKp, loadKp)
       else { val cs = g.components(dec.coreVertices(kPP)); (cs, store.loads(n, cs)._2) }
     def bounded(load: Long, b: Subgraph): Boolean = load * b.size <= h.toLong * b.instances
     lazy val lists = store.partition(n, comps.indices.map(c => if (bounded(load(c), best)) Array.emptyIntArray else comps(c)))
     val search = new DensitySearch((nv, local) => new DensestFlow.Network(
-      nv, DensestFlow.pruneLemma8(nv, group(local), h), h), best)
+      nv, DensestFlow.pruneLemma8(nv, group(local.toArrays), h), h), best)
     // positions in vs of the vertices of the (k, Ψ)-core
     def inCore(vs: Array[Int], k: Long): Array[Int] =
       java.util.stream.IntStream.range(0, vs.length).filter(i => core(vs(i)) >= k).toArray
@@ -97,16 +97,15 @@ object CoreExact {
       val b  = search.best
       // shrink to the (⌈ρ⌉, Ψ)-core of the best density ρ so far if it exceeds
       // k''; loads in that core are no larger, so a component whose own load
-      // meets the bound (Optimization 5) needs no list
+      // meets the bound (Optimization 5) needs no network
       var shrinkK = math.max(kPP, ceilDensity(b))
       val open =
         if (bounded(load(c), b)) None
         else if (shrinkK == kPP) Some((cc, lists(c)))
         else {
           val keep = inCore(cc, shrinkK)
-          val sub  = CliqueCore.flatten(lists(c))
-          if (bounded(sub.loads(cc.length, Vector(keep))._2(0), b)) None
-          else Some((keep.map(cc), sub.restrict(cc.length, keep)))
+          if (bounded(lists(c).loads(cc.length, Vector(keep))._2(0), b)) None
+          else Some((keep.map(cc), lists(c).restrict(cc.length, keep)))
         }
       open match {
         case None => byBound += 1

@@ -3,11 +3,14 @@ package repro.core
 import repro.graph.LocalGraph
 import repro.patterns.Pattern
 
-/** A candidate densest subgraph: vertex set (local ids of the input graph),
-  * its instance count μ and density ρ = μ/|V|.
+/** A candidate densest subgraph: vertex set (local ids of the input graph)
+  * and its instance count μ.
   */
-final case class Subgraph(vertices: Array[Int], instances: Long, density: Double) {
+final case class Subgraph(vertices: Array[Int], instances: Long) {
   def size: Int = vertices.length
+
+  /** ρ = μ/|V|; 0 on the empty set. */
+  def density: Double = if (vertices.isEmpty) 0.0 else instances.toDouble / vertices.length
 
   /** External ids of the subgraph's vertices w.r.t. the graph it came from. */
   def externalIds(g: LocalGraph): Array[Long] = vertices.map(g.ids)
@@ -17,7 +20,7 @@ object Subgraph {
 
   /** The answer on a graph with no instances: density 0 on vertex 0, or on
     * no vertex if `g` is empty. */
-  def none(g: LocalGraph): Subgraph = Subgraph(if (g.n > 0) Array(0) else Array.empty, 0L, 0.0)
+  def none(g: LocalGraph): Subgraph = Subgraph(if (g.n > 0) Array(0) else Array.empty, 0L)
 }
 
 /** Shared helpers for the densest-subgraph algorithms. */
@@ -47,20 +50,9 @@ object Densest {
     c
   }
 
-  /** The instances inside `vs`, renumbered to positions in `vs` and sorted:
-    * [[CliqueCore.Instances.restrict]] on a flat copy. */
-  def restrict(instances: Array[Array[Int]], n: Int, vs: Array[Int]): Array[Array[Int]] =
-    CliqueCore.flatten(instances).restrict(n, vs)
-
-  /** [[CliqueCore.Instances.partition]] on a flat copy of `instances`. */
-  def partition(instances: Array[Array[Int]], n: Int, parts: Seq[Array[Int]]): Array[Array[Array[Int]]] =
-    CliqueCore.flatten(instances).partition(n, parts.toIndexedSeq)
-
   /** Build a Subgraph record for vertex set `s` of a graph with n vertices. */
-  def subgraphOf(instances: Array[Array[Int]], n: Int, s: Array[Int]): Subgraph = {
-    val mu = countWithin(instances, n, s)
-    Subgraph(s, mu, if (s.isEmpty) 0.0 else mu.toDouble / s.length)
-  }
+  def subgraphOf(instances: Array[Array[Int]], n: Int, s: Array[Int]): Subgraph =
+    Subgraph(s, countWithin(instances, n, s))
 
   /** Brute-force densest subgraph for tiny graphs (n <= 20): enumerate every
     * non-empty vertex subset. Test oracle only.
@@ -68,7 +60,7 @@ object Densest {
   def bruteForce(g: LocalGraph, psi: Pattern): Subgraph = {
     require(g.n <= 20, s"brute force limited to n<=20, got ${g.n}")
     val inst = psi.instances(g)
-    var best = Subgraph(Array(0), 0L, 0.0)
+    var best = Subgraph(Array(0), 0L)
     val mask = new Array[Boolean](g.n)
     var bits = 1
     val lim  = 1 << g.n
@@ -80,11 +72,8 @@ object Densest {
         if ((bits & (1 << b)) != 0) { mask(b) = true; sz += 1 }
         b += 1
       }
-      val mu   = countWithinMask(inst, mask)
-      val dens = mu.toDouble / sz
-      if (dens > best.density) {
-        best = Subgraph((0 until g.n).filter(mask).toArray, mu, dens)
-      }
+      val mu = countWithinMask(inst, mask)
+      if (mu.toDouble / sz > best.density) best = Subgraph((0 until g.n).filter(mask).toArray, mu)
       bits += 1
     }
     best

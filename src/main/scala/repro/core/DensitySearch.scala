@@ -6,15 +6,15 @@ import repro.flow.DensestFlow
   * [[CoreExact]] (Algorithm 4, per component) and [[QueryDensest]] (Section
   * 6.3), on one network over `verts` (input-graph ids) reused until they
   * change. The search reads only the instances inside `verts`, renumbered to
-  * positions in `verts`: `network(|verts|, local)` builds the network from
-  * them, and a probe counts μ of its source side in them. A probe at α
-  * succeeds when the min cut's source side is denser than α. `best`: densest
-  * subgraph seen.
+  * positions in `verts`, in one flat store: `network(|verts|, local)` builds
+  * the network from them, and a probe counts μ of its source side in them.
+  * A probe at α succeeds when the min cut's source side is denser than α.
+  * `best`: densest subgraph seen.
   */
-private[core] final class DensitySearch(network: (Int, Array[Array[Int]]) => DensestFlow.Network,
+private[core] final class DensitySearch(network: (Int, CliqueCore.Instances) => DensestFlow.Network,
                                         var best: Subgraph) {
   private var verts = Array.emptyIntArray
-  private var local = Array.empty[Array[Int]]
+  private var local: CliqueCore.Instances = _
   private var net: DensestFlow.Network = _
   var probes = 0
   var phases = 0L
@@ -23,7 +23,7 @@ private[core] final class DensitySearch(network: (Int, Array[Array[Int]]) => Den
 
   /** Search on `vs` from now on, whose instances, renumbered to positions in
     * `vs`, are `local`; builds the network for them. */
-  def on(vs: Array[Int], local: Array[Array[Int]]): Unit = {
+  def on(vs: Array[Int], local: CliqueCore.Instances): Unit = {
     verts = vs; this.local = local; net = network(vs.length, local)
   }
 
@@ -38,8 +38,7 @@ private[core] final class DensitySearch(network: (Int, Array[Array[Int]]) => Den
     val s       = net.denserThan(alpha)
     phases += net.dinic.phases - phases0
     if (s.isEmpty) return None
-    val mu   = Densest.countWithin(local, verts.length, s)
-    val cand = Subgraph(s.map(verts), mu, mu.toDouble / s.length)
+    val cand = Subgraph(s.map(verts), local.countWithin(verts.length, s))
     if (cand.density > best.density) best = cand
     Some(cand).filter(_.density > alpha)
   }
@@ -57,7 +56,7 @@ private[core] final class DensitySearch(network: (Int, Array[Array[Int]]) => Den
     var found = probe(l0)
     while (found.nonEmpty) {
       val keep = shrink(found.get, verts)
-      if (keep.length != verts.length) on(keep.map(verts), Densest.restrict(local, verts.length, keep))
+      if (keep.length != verts.length) on(keep.map(verts), local.restrict(verts.length, keep))
       found = probe(found.get.density)
     }
   }

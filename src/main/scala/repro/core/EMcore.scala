@@ -25,7 +25,6 @@ object EMcore {
   def run(g: LocalGraph): Subgraph = {
     val (_, vs) = kMaxCore(g)
     if (vs.isEmpty) return Subgraph.none(g)
-    val sub = g.induced(vs)
-    Subgraph(vs, sub.m, sub.m.toDouble / vs.length)
+    Subgraph(vs, g.induced(vs).m)
   }
 }

@@ -15,17 +15,16 @@ import repro.patterns.Pattern
 object Exact {
 
   def run(g: LocalGraph, psi: Pattern): Subgraph = {
-    val instances = psi.instances(g)
-    if (instances.isEmpty) return Subgraph.none(g)
-    val n = g.n
-    val h = psi.numVertices
-    val all = (0 until n).toArray
+    val store = CliqueCore.instancesOf(g, psi)
+    if (store.count == 0) return Subgraph.none(g)
+    val h   = psi.numVertices
+    val all = (0 until g.n).toArray
     // seed with the whole graph: the first probe, at its density, fails
     // when G is its own CDS
     val search = new DensitySearch(
-      (nv, local) => new DensestFlow.Network(nv, DensestFlow.ungrouped(local), h),
-      Subgraph(all, instances.length.toLong, instances.length.toDouble / n))
-    search.on(all, instances)
+      (nv, local) => new DensestFlow.Network(nv, DensestFlow.ungrouped(local.toArrays), h),
+      Subgraph(all, store.count.toLong))
+    search.on(all, store)
     search.climb(search.best.density)
     search.best
   }

@@ -74,13 +74,4 @@ object KCore {
     while (k < n) { rank(vert(k)) = k; k += 1 }
     Decomposition(core, vert, rank)
   }
-
-  /** Maximum core number of `g`. */
-  def kMax(g: LocalGraph): Int = decompose(g).kMax
-
-  /** The k_max-core of `g` (the densest classical core). */
-  def kMaxCore(g: LocalGraph): LocalGraph = {
-    val dec = decompose(g)
-    g.induced(dec.coreVertices(dec.kMax))
-  }
 }

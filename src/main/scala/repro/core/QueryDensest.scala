@@ -23,7 +23,7 @@ object QueryDensest {
     val n         = g.n
     val h         = psi.numVertices
     val store     = CliqueCore.instancesOf(g, psi)
-    if (store.count == 0) return Subgraph(query.toArray.sorted, 0L, 0.0)
+    if (store.count == 0) return Subgraph(query.toArray.sorted, 0L)
     val dec = CliqueCore.peel(n, store)
     val x   = query.map(dec.core(_)).min
     val kLoc = (x + h - 1) / h // ⌈x/|V_Ψ|⌉
@@ -33,8 +33,8 @@ object QueryDensest {
     val pinned = query.toArray.map(java.util.Arrays.binarySearch(cand, _))
     val local  = store.restrict(n, cand)
     // seed: the smallest core containing Q is itself a Q-containing candidate
-    val search = new DensitySearch((nv, inst) => new DensestFlow.Network(nv, DensestFlow.group(inst), h, pinned),
-      Subgraph(cand, local.length.toLong, local.length.toDouble / cand.length))
+    val search = new DensitySearch((nv, inst) => new DensestFlow.Network(nv, DensestFlow.group(inst.toArrays), h, pinned),
+      Subgraph(cand, local.count.toLong))
     search.on(cand, local)
     // both start points are at most ρ_opt(Q), so a first probe that fails
     // has an optimum as its source side

@@ -30,7 +30,7 @@ object DensestFlow {
   /** Group raw instances by vertex set (construct+ line 2), in order of first
     * occurrence; a group's `verts` is its first instance.
     */
-  def group(instances: IndexedSeq[Array[Int]]): Array[Group] = {
+  def group(instances: Array[Array[Int]]): Array[Group] = {
     val mask   = Integer.highestOneBit(math.max(1, instances.length) * 2) * 2 - 1
     val slots  = Array.fill(mask + 1)(-1)          // open addressing: slot -> group id
     val first  = new Array[Int](instances.length)  // group id -> its first instance
@@ -47,8 +47,7 @@ object DensestFlow {
   }
 
   /** One group per instance — the ungrouped Algorithm-1 baseline network. */
-  def ungrouped(instances: IndexedSeq[Array[Int]]): Array[Group] =
-    instances.iterator.map(i => Group(i, 1)).toArray
+  def ungrouped(instances: Array[Array[Int]]): Array[Group] = instances.map(Group(_, 1))
 
   /** Conservative Lemma-8 pruning: drop a group's node when removing its
     * vertices provably INCREASES the density of the residual graph. We lower
@@ -152,15 +151,5 @@ object DensestFlow {
   def build(nVerts: Int, groups: Array[Group], h: Int, alpha: Double): (Dinic, Int, Int) = {
     val net = new Network(nVerts, groups, h)
     (net.at(alpha), net.s, net.t)
-  }
-
-  /** Min-cut probe on a network built for this call; see [[Network.denserThan]]. */
-  def denserThan(nVerts: Int, groups: Array[Group], h: Int, alpha: Double): Array[Int] =
-    new Network(nVerts, groups, h).denserThan(alpha)
-
-  /** Min-st-cut capacity of the network (used by Lemma-12 equality tests). */
-  def minCutValue(nVerts: Int, groups: Array[Group], h: Int, alpha: Double): Double = {
-    val net = new Network(nVerts, groups, h)
-    net.at(alpha).maxFlow(net.s, net.t)
   }
 }

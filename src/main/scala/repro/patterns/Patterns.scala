@@ -15,15 +15,26 @@ import scala.collection.mutable
   */
 sealed abstract class Pattern(val name: String, val numVertices: Int) extends Serializable {
 
-  /** All instances of Ψ in `g`, as sorted local-vertex-id arrays. */
-  def instances(g: LocalGraph): Array[Array[Int]]
+  /** Visit every instance of Ψ in `g` once, in a fixed order. `f` receives
+    * a SORTED array of local vertex ids; the array is reused across calls —
+    * copy it to keep it.
+    */
+  def forEach(g: LocalGraph)(f: Array[Int] => Unit): Unit
+
+  /** All instances of Ψ in `g`, as sorted local-vertex-id arrays, in
+    * [[forEach]] order. */
+  def instances(g: LocalGraph): Array[Array[Int]] = {
+    val out = Array.newBuilder[Array[Int]]
+    forEach(g)(out += _.clone())
+    out.result()
+  }
 
   /** Pattern-degree deg_G(v, Ψ) per vertex (Definition 9). Overridden with
     * closed-form counting for stars and the diamond (Appendix D).
     */
   def degrees(g: LocalGraph): Array[Long] = {
     val d = new Array[Long](g.n)
-    instances(g).foreach { inst =>
+    forEach(g) { inst =>
       var i = 0
       while (i < inst.length) { d(inst(i)) += 1; i += 1 }
     }
@@ -31,7 +42,11 @@ sealed abstract class Pattern(val name: String, val numVertices: Int) extends Se
   }
 
   /** μ(G, Ψ): the number of instances in `g`. */
-  def count(g: LocalGraph): Long = instances(g).length.toLong
+  def count(g: LocalGraph): Long = {
+    var c = 0L
+    forEach(g)(_ => c += 1)
+    c
+  }
 
   override def toString: String = name
 }
@@ -41,9 +56,7 @@ object Pattern {
   /** h-clique (h >= 2); Edge is the 2-clique, Triangle the 3-clique. */
   final case class Clique(h: Int) extends Pattern(s"$h-clique", h) {
     require(h >= 2)
-    override def instances(g: LocalGraph): Array[Array[Int]] = CliqueEnum.instances(g, h)
-    override def degrees(g: LocalGraph): Array[Long]         = CliqueEnum.degrees(g, h)
-    override def count(g: LocalGraph): Long                  = CliqueEnum.count(g, h)
+    def forEach(g: LocalGraph)(f: Array[Int] => Unit): Unit = CliqueEnum.forEach(g, h)(f)
   }
 
   val Edge: Clique     = Clique(2)
@@ -53,16 +66,15 @@ object Pattern {
   final case class Star(tails: Int) extends Pattern(s"$tails-star", tails + 1) {
     require(tails >= 2)
 
-    override def instances(g: LocalGraph): Array[Array[Int]] = {
-      val out = mutable.ArrayBuffer.empty[Array[Int]]
+    def forEach(g: LocalGraph)(f: Array[Int] => Unit): Unit = {
       val pick = new Array[Int](tails)
+      val emit = new Array[Int](tails + 1)
       def combos(nbrs: Array[Int], start: Int, depth: Int, center: Int): Unit = {
         if (depth == tails) {
-          val inst = new Array[Int](tails + 1)
-          inst(0) = center
-          System.arraycopy(pick, 0, inst, 1, tails)
-          java.util.Arrays.sort(inst)
-          out += inst
+          emit(0) = center
+          System.arraycopy(pick, 0, emit, 1, tails)
+          java.util.Arrays.sort(emit)
+          f(emit)
         } else {
           var i = start
           while (i <= nbrs.length - (tails - depth)) {
@@ -74,7 +86,6 @@ object Pattern {
       }
       var c = 0
       while (c < g.n) { combos(g.adj(c), 0, 0, c); c += 1 }
-      out.toArray
     }
 
     /** Closed-form star degree (Appendix D.1, Eq. 25):
@@ -105,10 +116,10 @@ object Pattern {
     */
   case object Diamond extends Pattern("diamond", 4) {
 
-    override def instances(g: LocalGraph): Array[Array[Int]] = {
+    def forEach(g: LocalGraph)(f: Array[Int] => Unit): Unit = {
       // Each C4 has two diagonals; list it at the one holding its smallest
       // vertex u: a pair {a, b} of middles of 2-paths u-a-v, all above u.
-      val out   = Array.newBuilder[Array[Int]]
+      val emit  = new Array[Int](4)
       val w     = new Wedges(g)
       val all   = Array.fill(g.n)(true)
       val at    = new Array[Int](g.n) // endpoint v -> end of its middles in `mids`
@@ -135,19 +146,13 @@ object Pattern {
           var x = e - w.common(v)
           while (x < e) {
             var y = x + 1
-            while (y < e) {
-              val inst = Array(u, v, mids(x), mids(y))
-              java.util.Arrays.sort(inst)
-              out += inst
-              y += 1
-            }
+            while (y < e) { emitSorted(emit, u, v, mids(x), mids(y), f); y += 1 }
             x += 1
           }
           i += 1
         }
         u += 1
       }
-      out.result()
     }
 
     /** Closed-form C4 degree: Σ_{u≠v} C(|N(v) ∩ N(u)|, 2) over all 2-hop
@@ -164,8 +169,8 @@ object Pattern {
 
   /** 2-triangle: two triangles sharing an edge (4 vertices, 5 edges). */
   case object TwoTriangle extends Pattern("2-triangle", 4) {
-    override def instances(g: LocalGraph): Array[Array[Int]] = {
-      val out = mutable.ArrayBuffer.empty[Array[Int]]
+    def forEach(g: LocalGraph)(f: Array[Int] => Unit): Unit = {
+      val emit = new Array[Int](4)
       // shared edge (u, v) + unordered pair {a, b} of common neighbors;
       // the 5-edge set determines (u, v) (its two degree-3 endpoints), so
       // each instance is produced exactly once.
@@ -174,23 +179,17 @@ object Pattern {
         var x = 0
         while (x < cs.length) {
           var y = x + 1
-          while (y < cs.length) {
-            val inst = Array(u, v, cs(x), cs(y))
-            java.util.Arrays.sort(inst)
-            out += inst
-            y += 1
-          }
+          while (y < cs.length) { emitSorted(emit, u, v, cs(x), cs(y), f); y += 1 }
           x += 1
         }
       }
-      out.toArray
     }
   }
 
   /** P4: the path on 4 vertices (3 edges). */
   case object Path4 extends Pattern("4-path", 4) {
-    override def instances(g: LocalGraph): Array[Array[Int]] = {
-      val out = mutable.ArrayBuffer.empty[Array[Int]]
+    def forEach(g: LocalGraph)(f: Array[Int] => Unit): Unit = {
+      val emit = new Array[Int](4)
       // middle edge (b, c) with b < c; a attaches to b, d attaches to c.
       for ((b, c) <- g.edges) {
         val as = g.adj(b).filter(_ != c)
@@ -199,26 +198,20 @@ object Pattern {
         while (i < as.length) {
           var j = 0
           while (j < ds.length) {
-            if (as(i) != ds(j)) {
-              val inst = Array(as(i), b, c, ds(j))
-              java.util.Arrays.sort(inst)
-              out += inst
-            }
+            if (as(i) != ds(j)) emitSorted(emit, as(i), b, c, ds(j), f)
             j += 1
           }
           i += 1
         }
       }
-      out.toArray
     }
   }
 
   /** Tailed triangle: a triangle with one pendant edge (4 vertices, 4 edges). */
   case object TailedTriangle extends Pattern("tailed-triangle", 4) {
-    override def instances(g: LocalGraph): Array[Array[Int]] = {
-      val out = mutable.ArrayBuffer.empty[Array[Int]]
-      CliqueEnum.forEach(g, 3) { tri =>
-        val t = tri.clone()
+    def forEach(g: LocalGraph)(f: Array[Int] => Unit): Unit = {
+      val emit = new Array[Int](4)
+      CliqueEnum.forEach(g, 3) { t =>
         var i = 0
         while (i < 3) {
           val c = t(i)
@@ -226,17 +219,12 @@ object Pattern {
           var j = 0
           while (j < a.length) {
             val d = a(j)
-            if (d != t(0) && d != t(1) && d != t(2)) {
-              val inst = Array(t(0), t(1), t(2), d)
-              java.util.Arrays.sort(inst)
-              out += inst
-            }
+            if (d != t(0) && d != t(1) && d != t(2)) emitSorted(emit, t(0), t(1), t(2), d, f)
             j += 1
           }
           i += 1
         }
       }
-      out.toArray
     }
   }
 
@@ -264,7 +252,7 @@ object Pattern {
       order.toArray
     }
 
-    override def instances(g: LocalGraph): Array[Array[Int]] = {
+    def forEach(g: LocalGraph)(f: Array[Int] => Unit): Unit = {
       val found = mutable.HashMap.empty[Seq[Long], Array[Int]]
       val map   = Array.fill(p)(-1)
       val used  = mutable.Set.empty[Int]
@@ -291,8 +279,15 @@ object Pattern {
         }
       }
       rec(0)
-      found.values.toArray
+      found.values.foreach(f)
     }
+  }
+
+  /** Emit the instance {a, b, c, d} to `f` in `buf`, sorted. */
+  private def emitSorted(buf: Array[Int], a: Int, b: Int, c: Int, d: Int, f: Array[Int] => Unit): Unit = {
+    buf(0) = a; buf(1) = b; buf(2) = c; buf(3) = d
+    java.util.Arrays.sort(buf)
+    f(buf)
   }
 
   /** Generic (reference) versions of the named patterns, for cross-checks. */

@@ -4,47 +4,50 @@ import org.scalatest.funsuite.AnyFunSuite
 import repro.TestUtil
 import repro.graph.LocalGraph
 import repro.patterns.Combinatorics.choose
+import repro.patterns.Pattern
 
 class CliqueEnumSpec extends AnyFunSuite {
 
   test("K6 clique counts match binomials for h = 2..6") {
     val g = TestUtil.complete(6)
     for (h <- 2 to 6)
-      assert(CliqueEnum.count(g, h) == choose(6, h), s"h=$h")
+      assert(Pattern.Clique(h).count(g) == choose(6, h), s"h=$h")
   }
 
   test("h=1 counts vertices") {
     val g = TestUtil.path(5)
-    assert(CliqueEnum.count(g, 1) == 5)
+    var c = 0
+    CliqueEnum.forEach(g, 1)(_ => c += 1)
+    assert(c == 5)
   }
 
   test("path has no triangles") {
-    assert(CliqueEnum.count(TestUtil.path(10), 3) == 0)
+    assert(Pattern.Clique(3).count(TestUtil.path(10)) == 0)
   }
 
   test("cycle of length 3 is one triangle; longer cycles none") {
-    assert(CliqueEnum.count(TestUtil.cycle(3), 3) == 1)
-    assert(CliqueEnum.count(TestUtil.cycle(6), 3) == 0)
+    assert(Pattern.Clique(3).count(TestUtil.cycle(3)) == 1)
+    assert(Pattern.Clique(3).count(TestUtil.cycle(6)) == 0)
   }
 
   test("edge count equals m for h=2") {
     val g = TestUtil.randomGraph(40, 0.2, 1)
-    assert(CliqueEnum.count(g, 2) == g.m)
+    assert(Pattern.Clique(2).count(g) == g.m)
   }
 
   test("two triangles sharing an edge (paper Fig 2a): counts and degrees") {
     // A-B-C triangle + A-C-D triangle sharing edge A-C (paper's example:
     // clique-degrees of A, B, C are 2, 1, 2)
     val g = LocalGraph.fromEdges(Seq((0L, 1L), (1L, 2L), (0L, 2L), (0L, 3L), (2L, 3L)))
-    assert(CliqueEnum.count(g, 3) == 2)
-    val deg = CliqueEnum.degrees(g, 3)
+    assert(Pattern.Clique(3).count(g) == 2)
+    val deg = Pattern.Clique(3).degrees(g)
     assert(deg(0) == 2 && deg(2) == 2) // A and C
     assert(deg(1) == 1 && deg(3) == 1) // B and D
   }
 
   test("instances are sorted, distinct, and truly cliques") {
     val g    = TestUtil.randomGraph(30, 0.35, 5)
-    val inst = CliqueEnum.instances(g, 4)
+    val inst = Pattern.Clique(4).instances(g)
     assert(inst.forall(a => a.sorted.sameElements(a)))
     assert(inst.map(_.toSeq).distinct.length == inst.length)
     inst.foreach { a =>
@@ -56,8 +59,8 @@ class CliqueEnumSpec extends AnyFunSuite {
   test("degrees sum to h * count") {
     val g = TestUtil.randomGraph(35, 0.3, 9)
     for (h <- 2 to 5) {
-      val d = CliqueEnum.degrees(g, h)
-      assert(d.sum == h * CliqueEnum.count(g, h), s"h=$h")
+      val d = Pattern.Clique(h).degrees(g)
+      assert(d.sum == h * Pattern.Clique(h).count(g), s"h=$h")
     }
   }
 
@@ -70,7 +73,7 @@ class CliqueEnumSpec extends AnyFunSuite {
   for (seed <- 1 to 8; h <- 2 to 5) {
     test(s"random graph seed=$seed h=$h matches brute-force subset count") {
       val g = TestUtil.randomGraph(12, 0.45, seed)
-      assert(CliqueEnum.count(g, h) == bruteCount(g, h))
+      assert(Pattern.Clique(h).count(g) == bruteCount(g, h))
     }
   }
 
@@ -80,7 +83,7 @@ class CliqueEnumSpec extends AnyFunSuite {
       base.edgesExternal ++ (for (i <- 0 until 8; j <- (i + 1) until 8)
         yield (i.toLong * 7, j.toLong * 7)))
     for (h <- 3 to 6)
-      assert(CliqueEnum.count(g, h) >= choose(8, h), s"h=$h")
+      assert(Pattern.Clique(h).count(g) >= choose(8, h), s"h=$h")
   }
 
   /** The kernel's emitted cliques, in order, each copied. */
@@ -109,6 +112,6 @@ class CliqueEnumSpec extends AnyFunSuite {
 
   test("empty graph yields no cliques") {
     val g = LocalGraph.fromEdges(Nil)
-    assert(CliqueEnum.count(g, 3) == 0)
+    assert(Pattern.Clique(3).count(g) == 0)
   }
 }

@@ -227,15 +227,16 @@ class CliqueCoreSpec extends AnyFunSuite {
       val inst  = p.instances(g)
       val store = CliqueCore.instancesOf(g, p)
       val parts = randomParts(g.n, seed)
-      def seqs(a: Array[Array[Int]]) = a.toSeq.map(_.toSeq)
+      val flat  = CliqueCore.flatten(inst)
+      def seqs(s: CliqueCore.Instances) = s.toArrays.toSeq.map(_.toSeq)
       parts.foreach { vs =>
         val pos   = Array.fill(g.n)(-1)
         vs.indices.foreach(i => pos(vs(i)) = i)
         val naive = inst.toSeq.filter(_.forall(pos(_) >= 0)).map(_.map(pos).sorted.toSeq)
         assert(seqs(store.restrict(g.n, vs)) == naive)
-        assert(seqs(store.restrict(g.n, vs)) == seqs(Densest.restrict(inst, g.n, vs)))
+        assert(seqs(store.restrict(g.n, vs)) == seqs(flat.restrict(g.n, vs)))
       }
-      assert(store.partition(g.n, parts).map(seqs).toSeq == parts.map(vs => seqs(Densest.restrict(inst, g.n, vs))))
+      assert(store.partition(g.n, parts).map(seqs).toSeq == parts.map(vs => seqs(flat.restrict(g.n, vs))))
     }
   }
 
@@ -246,5 +247,21 @@ class CliqueCoreSpec extends AnyFunSuite {
     val e2 = intercept[IllegalArgumentException](store.loads(4, Vector(Array(4))))
     assert(e2.getMessage.contains("4"), e2.getMessage)
   }
-}
 
+  private val everyPattern: Seq[Pattern] = {
+    val named = Seq(Pattern.Edge, Pattern.Triangle, Pattern.Clique(4), Pattern.Star(2), Pattern.Star(3),
+                    Pattern.Diamond, Pattern.TwoTriangle, Pattern.Path4, Pattern.TailedTriangle)
+    named ++ named.map(Pattern.genericOf)
+  }
+
+  for (p <- everyPattern) {
+    test(s"instancesOf equals the flat copy of instances, element for element (Ψ=${p.name})") {
+      for (g <- Seq(TestUtil.randomGraph(14, 0.45, 3), TestUtil.path(3))) {
+        val store = CliqueCore.instancesOf(g, p)
+        val flat  = CliqueCore.flatten(p.instances(g))
+        assert(store.h == p.numVertices && store.count == flat.count)
+        assert(store.data.sameElements(flat.data))
+      }
+    }
+  }
+}

@@ -344,4 +344,29 @@ class CoreExactSpec extends AnyFunSuite {
     assert(st.augmentingPhases == 8)
     assert(r.instances == 32L && r.externalIds(g).sorted.sameElements(Seq(0L, 1, 3, 4, 5, 7, 8, 10, 11)))
   }
+
+  // Same-search guard for grouped patterns: two small hub-haloed cliques
+  // (K8 and K10, satellites on 7, 6, …, 3 hubs three times over, one junk
+  // clique each), seed 3. Both components get a network, and the diamond
+  // search shrinks its second network (Optimization 4). Every `Stats` field
+  // but the timings is pinned to the values read before the search moved
+  // onto the flat instance store.
+  for ((p, nm, probes, nodes, arcs, phases, mu) <- Seq(
+         (Pattern.Diamond, "diamond", 4, Vector(1116, 2063, 1760, 1760),
+          Vector(8756L, 16290L, 13884L, 13884L), 14L, 2227L),
+         (Pattern.TwoTriangle, "2-triangle", 3, Vector(782, 1759, 1759),
+          Vector(6102L, 13876L, 13876L), 11L, 3472L))) {
+    test(s"same search as before on two small hub-haloed cliques (seed 3): every Stats field (Ψ=$nm)") {
+      val rnd  = new Random(3)
+      val sats = (7 to 3 by -1).flatMap(Seq.fill(3)(_))
+      val g    = LocalGraph.fromEdges(
+        component(0, 8, sats, Seq(9), 3, rnd, hubs = true) ++
+        component(1, 10, sats, Seq(11), 3, rnd, hubs = true))
+      val (r, st) = CoreExact.runWithStats(g, p)
+      assert((st.certifiedByBound, st.certifiedByCut, st.components, st.probes) == ((0, 2, 2, probes)))
+      assert(st.networkNodeCounts == nodes && st.networkArcCounts == arcs)
+      assert(st.augmentingPhases == phases)
+      assert(r.instances == mu && r.size == 19)
+    }
+  }
 }

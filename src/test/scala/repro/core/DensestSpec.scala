@@ -15,7 +15,7 @@ class DensestSpec extends AnyFunSuite {
     inst.toSeq.filter(_.forall(pos(_) >= 0)).map(_.map(pos).sorted.toSeq)
   }
 
-  private def seqs(a: Array[Array[Int]]): Seq[Seq[Int]] = a.toSeq.map(_.toSeq)
+  private def seqs(s: CliqueCore.Instances): Seq[Seq[Int]] = s.toArrays.toSeq.map(_.toSeq)
 
   private val patterns = Seq((Pattern.Edge, "edge"), (Pattern.Triangle, "triangle"),
                              (Pattern.Clique(4), "4-clique"), (Pattern.Diamond, "diamond"))
@@ -27,44 +27,45 @@ class DensestSpec extends AnyFunSuite {
       // three disjoint parts, some vertices in none; the first two unsorted
       val rnd   = new Random(seed)
       val order = rnd.shuffle((0 until g.n).toVector).toArray
-      val parts = Seq(order.slice(0, 14), order.slice(14, 22), order.slice(22, 27).sorted)
+      val parts = Vector(order.slice(0, 14), order.slice(14, 22), order.slice(22, 27).sorted)
       // renumbering to positions in an unsorted part leaves some instances out of order
       val pos0 = Array.fill(g.n)(-1)
       parts(0).indices.foreach(i => pos0(parts(0)(i)) = i)
       assert(inst.exists { a => a.forall(pos0(_) >= 0) && { val r = a.map(pos0); !r.sameElements(r.sorted) } })
-      val got   = Densest.partition(inst, g.n, parts)
+      val store = CliqueCore.flatten(inst)
+      val got   = store.partition(g.n, parts)
       assert(got.length == parts.length)
       parts.indices.foreach { i =>
         assert(seqs(got(i)) == naiveRestrict(inst, g.n, parts(i)), s"part $i")
-        assert(seqs(got(i)) == seqs(Densest.restrict(inst, g.n, parts(i))), s"part $i vs restrict")
+        assert(seqs(got(i)) == seqs(store.restrict(g.n, parts(i))), s"part $i vs restrict")
       }
       // every instance inside one part lands in that part, and nowhere else
-      assert(got.map(_.length).sum == parts.map(naiveRestrict(inst, g.n, _).size).sum)
+      assert(got.map(_.count).sum == parts.map(naiveRestrict(inst, g.n, _).size).sum)
     }
   }
 
   test("partition of one part holding every vertex in order returns each instance sorted") {
     val g    = TestUtil.randomGraph(20, 0.5, 3)
     val inst = Pattern.Diamond.instances(g)
-    val got  = Densest.partition(inst, g.n, Seq((0 until g.n).toArray))(0)
+    val got  = CliqueCore.flatten(inst).partition(g.n, Vector((0 until g.n).toArray))(0)
     assert(seqs(got) == inst.toSeq.map(_.sorted.toSeq))
   }
 
   test("partition rejects overlapping parts and vertices outside [0, n)") {
-    val inst = Array(Array(0, 1))
-    val e1 = intercept[IllegalArgumentException](Densest.partition(inst, 4, Seq(Array(0, 1), Array(2, 1))))
+    val store = CliqueCore.flatten(Array(Array(0, 1)))
+    val e1 = intercept[IllegalArgumentException](store.partition(4, Vector(Array(0, 1), Array(2, 1))))
     assert(e1.getMessage.contains("vertex 1"), e1.getMessage)
-    val e2 = intercept[IllegalArgumentException](Densest.partition(inst, 4, Seq(Array(0, 4))))
+    val e2 = intercept[IllegalArgumentException](store.partition(4, Vector(Array(0, 4))))
     assert(e2.getMessage.contains("4"), e2.getMessage)
-    val e3 = intercept[IllegalArgumentException](Densest.restrict(inst, 4, Array(-1)))
+    val e3 = intercept[IllegalArgumentException](store.restrict(4, Array(-1)))
     assert(e3.getMessage.contains("-1"), e3.getMessage)
   }
 
   test("partition with no parts, or empty parts, keeps no instance") {
     val g    = TestUtil.complete(5)
-    val inst = Pattern.Triangle.instances(g)
-    assert(Densest.partition(inst, g.n, Nil).isEmpty)
-    assert(Densest.partition(inst, g.n, Seq(Array.emptyIntArray, Array(0, 1)))(0).isEmpty)
+    val store = CliqueCore.flatten(Pattern.Triangle.instances(g))
+    assert(store.partition(g.n, Vector()).isEmpty)
+    assert(store.partition(g.n, Vector(Array.emptyIntArray, Array(0, 1)))(0).count == 0)
   }
 
   test("countWithin counts the instances inside a vertex set") {
@@ -84,9 +85,9 @@ class DensestSpec extends AnyFunSuite {
     val built = scala.collection.mutable.ArrayBuffer.empty[(Int, Seq[Seq[Int]])]
     val search = new DensitySearch((nv, local) => {
       built += ((nv, seqs(local)))
-      new repro.flow.DensestFlow.Network(nv, repro.flow.DensestFlow.ungrouped(local), 2)
-    }, Subgraph(Array.emptyIntArray, 0L, 0.0))
-    search.on(vs, Densest.restrict(inst, g.n, vs))
+      new repro.flow.DensestFlow.Network(nv, repro.flow.DensestFlow.ungrouped(local.toArrays), 2)
+    }, Subgraph(Array.emptyIntArray, 0L))
+    search.on(vs, CliqueCore.flatten(inst).restrict(g.n, vs))
     var shrunk = false
     search.climb(0.0, (_, cur) =>
       if (shrunk) cur.indices.toArray

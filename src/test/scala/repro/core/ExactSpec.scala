@@ -92,9 +92,9 @@ class ExactSpec extends AnyFunSuite {
       assert(r.instances == 24996L && r.density == rhoB)
     }
     val groups = DensestFlow.ungrouped(Pattern.Edge.instances(g))
-    val at     = DensestFlow.denserThan(n, groups, 2, rhoB)
+    val at     = new DensestFlow.Network(n, groups, 2).denserThan(rhoB)
     assert(at.isEmpty, s"${at.length} vertices at ρ(B)")
-    val below  = DensestFlow.denserThan(n, groups, 2, rhoB - 1.0 / (n.toLong * (n - 1)))
+    val below  = new DensestFlow.Network(n, groups, 2).denserThan(rhoB - 1.0 / (n.toLong * (n - 1)))
     assert(below.sameElements(b), s"${below.length} vertices just below ρ(B)")
   }
 }

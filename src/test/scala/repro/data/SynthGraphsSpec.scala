@@ -1,8 +1,8 @@
 package repro.data
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.cliques.CliqueEnum
 import repro.core.KCore
+import repro.patterns.Pattern
 
 class SynthGraphsSpec extends AnyFunSuite {
 
@@ -45,7 +45,7 @@ class SynthGraphsSpec extends AnyFunSuite {
 
   test("ssca contains cliques (nontrivial max clique)") {
     val g = SynthGraphs.ssca(500, 12, 5)
-    assert(CliqueEnum.count(g, 5) > 0)
+    assert(Pattern.Clique(5).count(g) > 0)
   }
 
   test("rmat has the requested edge count and power-law-ish skew") {
@@ -59,8 +59,8 @@ class SynthGraphsSpec extends AnyFunSuite {
     val base = SynthGraphs.powerLaw(300, 600, 2.5, 7)
     val g    = SynthGraphs.plantClique(base, 15, 7)
     // a 15-clique forces classical k_max >= 14
-    assert(KCore.kMax(g) >= 14)
-    assert(CliqueEnum.count(g, 6) >= repro.patterns.Combinatorics.choose(15, 6))
+    assert(KCore.decompose(g).kMax >= 14)
+    assert(Pattern.Clique(6).count(g) >= repro.patterns.Combinatorics.choose(15, 6))
   }
 
   test("figure5 matches the Example-5 spec") {
@@ -87,12 +87,12 @@ class SynthGraphsSpec extends AnyFunSuite {
 
   test("standIn Netscience contains its 20-clique (k_max >= 19)") {
     val s = SynthGraphs.standIn("Netscience")
-    assert(KCore.kMax(s.g) >= 19)
+    assert(KCore.decompose(s.g).kMax >= 19)
   }
 
   test("standIn S-DBLP contains its 13-clique") {
     val s = SynthGraphs.standIn("S-DBLP")
-    assert(KCore.kMax(s.g) >= 12)
+    assert(KCore.decompose(s.g).kMax >= 12)
   }
 
   test("standIn scale shrinks large graphs") {

@@ -56,7 +56,7 @@ class DistSpec extends SparkSpec {
 
   test("triangleDegrees match local clique degrees") {
     val g = TestUtil.randomGraph(30, 0.25, 11)
-    val local = repro.cliques.CliqueEnum.degrees(g, 3)
+    val local = Pattern.Triangle.degrees(g)
     val dist = GraphDF.triangleDegrees(edgesDF(g)).collect()
       .map(r => r.getLong(0) -> r.getLong(1)).toMap
     (0 until g.n).foreach { v =>
@@ -67,7 +67,7 @@ class DistSpec extends SparkSpec {
   test("triangleCount matches local count") {
     val g = TestUtil.randomGraph(40, 0.2, 13)
     assert(GraphDF.triangleCount(spark, edgesDF(g)) ==
-           repro.cliques.CliqueEnum.count(g, 3))
+           Pattern.Triangle.count(g))
   }
 
   test("inducedEdges keeps only internal edges") {

@@ -7,7 +7,7 @@ import repro.patterns.Pattern
 class DensestFlowSpec extends AnyFunSuite {
 
   test("group collapses instances sharing a vertex set") {
-    val inst = IndexedSeq(Array(0, 1, 2, 3), Array(0, 1, 2, 3), Array(1, 2, 3, 4))
+    val inst = Array(Array(0, 1, 2, 3), Array(0, 1, 2, 3), Array(1, 2, 3, 4))
     val gs = DensestFlow.group(inst)
     assert(gs.length == 2)
     assert(gs.find(_.verts.sameElements(Array(0, 1, 2, 3))).get.mult == 2)
@@ -15,7 +15,7 @@ class DensestFlowSpec extends AnyFunSuite {
   }
 
   test("ungrouped keeps every instance separate") {
-    val inst = IndexedSeq(Array(0, 1, 2), Array(0, 1, 2))
+    val inst = Array(Array(0, 1, 2), Array(0, 1, 2))
     assert(DensestFlow.ungrouped(inst).length == 2)
     assert(DensestFlow.ungrouped(inst).forall(_.mult == 1))
   }
@@ -25,7 +25,7 @@ class DensestFlowSpec extends AnyFunSuite {
     val g = repro.graph.LocalGraph.fromEdges(
       Seq((0L, 1L), (0L, 2L), (0L, 3L), (1L, 2L), (1L, 3L), (2L, 3L), (3L, 4L)))
     val inst = Pattern.Edge.instances(g)
-    val s = DensestFlow.denserThan(g.n, DensestFlow.ungrouped(inst), 2, 1.0)
+    val s = new DensestFlow.Network(g.n, DensestFlow.ungrouped(inst), 2).denserThan(1.0)
     assert(s.nonEmpty)
     // the returned set must itself be denser than alpha
     val mu = inst.count(i => i.forall(s.contains))
@@ -35,21 +35,21 @@ class DensestFlowSpec extends AnyFunSuite {
   test("denserThan returns empty above the optimum") {
     val g    = TestUtil.complete(4) // rho_opt = 1.5
     val inst = Pattern.Edge.instances(g)
-    val s = DensestFlow.denserThan(g.n, DensestFlow.ungrouped(inst), 2, 1.6)
+    val s = new DensestFlow.Network(g.n, DensestFlow.ungrouped(inst), 2).denserThan(1.6)
     assert(s.isEmpty)
   }
 
   test("denserThan at exactly the optimum returns empty (strict inequality)") {
     val g    = TestUtil.complete(4)
     val inst = Pattern.Edge.instances(g)
-    val s = DensestFlow.denserThan(g.n, DensestFlow.ungrouped(inst), 2, 1.5)
+    val s = new DensestFlow.Network(g.n, DensestFlow.ungrouped(inst), 2).denserThan(1.5)
     assert(s.isEmpty)
   }
 
   test("triangle network: K4 probe below optimum returns the K4") {
     val g    = TestUtil.complete(4) // 4 triangles / 4 vertices = 1.0
     val inst = Pattern.Triangle.instances(g)
-    val s = DensestFlow.denserThan(g.n, DensestFlow.ungrouped(inst), 3, 0.9)
+    val s = new DensestFlow.Network(g.n, DensestFlow.ungrouped(inst), 3).denserThan(0.9)
     assert(s.sorted.sameElements(Array(0, 1, 2, 3)))
   }
 
@@ -61,8 +61,12 @@ class DensestFlowSpec extends AnyFunSuite {
       if (inst.nonEmpty) {
         val h = p.numVertices
         for (alpha <- Seq(0.3, 0.9, 1.7)) {
-          val a = DensestFlow.minCutValue(g.n, DensestFlow.ungrouped(inst), h, alpha)
-          val b = DensestFlow.minCutValue(g.n, DensestFlow.group(inst), h, alpha)
+          def minCut(groups: Array[DensestFlow.Group]) = {
+            val net = new DensestFlow.Network(g.n, groups, h)
+            net.at(alpha).maxFlow(net.s, net.t)
+          }
+          val a = minCut(DensestFlow.ungrouped(inst))
+          val b = minCut(DensestFlow.group(inst))
           assert(math.abs(a - b) < 1e-6, s"alpha=$alpha: $a vs $b")
         }
       }
@@ -77,8 +81,8 @@ class DensestFlowSpec extends AnyFunSuite {
         val full   = DensestFlow.group(inst)
         val pruned = DensestFlow.pruneLemma8(g.n, full, 3)
         for (alpha <- Seq(0.2, 0.6, 1.1)) {
-          val a = DensestFlow.denserThan(g.n, full, 3, alpha)
-          val b = DensestFlow.denserThan(g.n, pruned, 3, alpha)
+          val a = new DensestFlow.Network(g.n, full, 3).denserThan(alpha)
+          val b = new DensestFlow.Network(g.n, pruned, 3).denserThan(alpha)
           // outcomes must agree on emptiness; nonempty answers must be valid
           assert(a.isEmpty == b.isEmpty, s"seed=$seed alpha=$alpha")
           if (b.nonEmpty) {
@@ -162,11 +166,11 @@ class DensestFlowSpec extends AnyFunSuite {
   test("build and denserThan reject group vertices >= nVerts, h < 1 and bad alpha") {
     val gs = Array(DensestFlow.Group(Array(0, 1, 4), 1))
     rejects("4")(DensestFlow.build(4, gs, 3, 1.0))
-    rejects("4")(DensestFlow.denserThan(4, gs, 3, 1.0))
+    rejects("4")(new DensestFlow.Network(4, gs, 3).denserThan(1.0))
     val ok = Array(DensestFlow.Group(Array(0, 1, 2), 1))
     rejects("0")(DensestFlow.build(4, ok, 0, 1.0))
     rejects("-1.0")(DensestFlow.build(4, ok, 3, -1.0))
-    rejects("NaN")(DensestFlow.denserThan(4, ok, 3, Double.NaN))
-    rejects("-0.5")(DensestFlow.denserThan(4, ok, 3, -0.5))
+    rejects("NaN")(new DensestFlow.Network(4, ok, 3).denserThan(Double.NaN))
+    rejects("-0.5")(new DensestFlow.Network(4, ok, 3).denserThan(-0.5))
   }
 }

@@ -166,4 +166,38 @@ class PatternSpec extends AnyFunSuite {
       assert(inst.map(_.mkString(",")).sorted.sameElements(ref.map(_.mkString(",")).sorted))
     }
   }
+
+  // (μ, hash of the emitted ids in order) on G(13, 0.5) seed 12, recorded
+  // from `instances` before every pattern listed through one `forEach`: the
+  // emission order is part of the contract (the flow network's group order
+  // follows it).
+  private val emissions: Seq[(Pattern, Int, Long)] = Seq(
+    (Pattern.Edge, 42, 477054258818371558L), (Pattern.Triangle, 46, -6275014847242373625L),
+    (Pattern.Clique(4), 21, -2269731259941186646L), (Pattern.Clique(5), 3, -7391804021965467697L),
+    (Pattern.Star(2), 246, -8562612517758706354L), (Pattern.Star(3), 438, -4403100522055707262L),
+    (Pattern.Diamond, 170, -169658387453672934L), (Pattern.TwoTriangle, 208, -3228922361211121437L),
+    (Pattern.Path4, 1291, 3079503152475394773L), (Pattern.TailedTriangle, 730, 7130633979207511709L),
+    (Pattern.genericOf(Pattern.Edge), 42, 4660150373700139966L),
+    (Pattern.genericOf(Pattern.Triangle), 46, -3288459500581851255L),
+    (Pattern.genericOf(Pattern.Clique(4)), 21, 5946662988758656810L),
+    (Pattern.genericOf(Pattern.Clique(5)), 3, -7391804021965467697L),
+    (Pattern.genericOf(Pattern.Star(2)), 246, 2033842627469404516L),
+    (Pattern.genericOf(Pattern.Star(3)), 438, 2027582834256633522L),
+    (Pattern.genericOf(Pattern.Diamond), 170, 4823407446666309482L),
+    (Pattern.genericOf(Pattern.TwoTriangle), 208, -2418941311876764653L),
+    (Pattern.genericOf(Pattern.Path4), 1291, -2489941164643411099L),
+    (Pattern.genericOf(Pattern.TailedTriangle), 730, -1878267747407130531L))
+
+  for ((p, mu, hash) <- emissions) {
+    test(s"${p.name}: count, instances and forEach give the recorded emission sequence") {
+      val g = TestUtil.randomGraph(13, 0.5, 12)
+      var viaForEach = 17L
+      var emitted    = 0
+      p.forEach(g) { a => a.foreach(v => viaForEach = viaForEach * 1000003L + v); emitted += 1 }
+      val inst = p.instances(g)
+      val viaInstances = inst.foldLeft(17L)((h, a) => a.foldLeft(h)(_ * 1000003L + _))
+      assert(p.count(g) == inst.length && inst.length == mu && emitted == mu)
+      assert(viaForEach == hash && viaInstances == hash)
+    }
+  }
 }
