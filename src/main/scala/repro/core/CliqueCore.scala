@@ -255,22 +255,18 @@ object CliqueCore {
     val data = s.data
     val dead = new Array[Boolean](s.count)
     new Peel(deg) {
-      private var mu = s.count.toLong
-
-      protected def removed(u: Int): Long = {
+      protected def removed(u: Int): Unit = {
         var i = off(u)
         while (i < off(u + 1)) {
           val id = ids(i)
           if (!dead(id)) {
             dead(id) = true
-            mu -= 1
             // a live instance has only live members
             var j = id * h
-            while (j < (id + 1) * h) { if (data(j) != u) decrement(data(j)); j += 1 }
+            while (j < (id + 1) * h) { if (data(j) != u) lower(data(j), 1); j += 1 }
           }
           i += 1
         }
-        mu
       }
     }.run(s.count.toLong)
   }

@@ -6,15 +6,18 @@ package repro.core
   * and the densest residual graph.
   *
   * Live vertices sit in an indexed binary min-heap on two primitive arrays,
-  * `heap` and its inverse `pos`, keyed by (deg(v), v). A degree change moves
-  * the vertex in place, up or down, so the peel allocates nothing after
+  * `heap` and its inverse `pos`, keyed by (deg(v), v). Degrees only fall, so
+  * a change sifts the vertex up in place: the peel allocates nothing after
   * construction and the heap holds no stale entries. Ties go to the smaller
   * id, so the removal order is a function of the current degrees alone,
   * whatever order the updates arrive in. (A bucket queue would need an array
   * as long as the largest degree, 31,465 on Ca-HepTh with Ψ = 5-clique, and
   * its order within a bucket would depend on the update history.)
   *
-  * A subclass supplies the degree bookkeeping in [[removed]].
+  * A subclass only lowers degrees, in [[removed]]. The peel keeps μ: deg(v)
+  * at v's removal counts exactly v's live instances, so μ falls by deg(v).
+  * A saturated μ (Long.MaxValue, as [[repro.patterns.Combinatorics.choose]])
+  * stays unknown; a known μ bounds every degree, so none is saturated.
   *
   * @param deg initial pattern-degree per vertex; the peel updates it in place
   */
@@ -26,28 +29,19 @@ abstract class Peel(deg: Array[Long]) {
 
   { var i = n / 2 - 1; while (i >= 0) { siftDown(i); i -= 1 } }
 
-  /** Called once per removed vertex `v`, after it has left the heap. Must
-    * report the new degree of every live vertex whose degree changed
-    * (through [[setDegree]] or [[decrement]]) and return μ of the residual
-    * graph.
-    */
-  protected def removed(v: Int): Long
+  /** Called once per removed vertex `v`, after it has left the heap: must
+    * [[lower]] every live vertex by the instances it shared with `v`. */
+  protected def removed(v: Int): Unit
 
-  /** deg(v) ← d for a live vertex `v`. */
-  final def setDegree(v: Int, d: Long): Unit = {
-    val old = deg(v)
-    deg(v) = d
-    if (d < old) siftUp(pos(v)) else if (d > old) siftDown(pos(v))
-  }
-
-  /** deg(v) ← deg(v) − 1 for a live vertex `v`. */
-  final def decrement(v: Int): Unit = { deg(v) -= 1; siftUp(pos(v)) }
+  /** deg(v) ← deg(v) − by for a live vertex `v`; degrees never rise. */
+  final def lower(v: Int, by: Long): Unit = { deg(v) -= by; siftUp(pos(v)) }
 
   /** Peel every vertex; `mu0` is μ of the whole graph. */
   final def run(mu0: Long): CliqueCore.Result = {
     val core        = new Array[Long](n)
     val order       = new Array[Int](n)
     var k           = 0L
+    var mu          = mu0
     var bestDensity = if (n == 0) 0.0 else mu0.toDouble / n
     var bestMu      = mu0
     var bestSuffix  = 0
@@ -60,10 +54,10 @@ abstract class Peel(deg: Array[Long]) {
       if (deg(v) > k) k = deg(v)
       core(v) = k
       order(done) = v
-      val mu = removed(v)
+      if (mu != Long.MaxValue) mu -= deg(v)
+      removed(v)
       done += 1
-      // a saturated μ (Long.MaxValue, see Combinatorics.choose) is unknown,
-      // so that residual is never taken as the densest
+      // an unknown μ is never taken as the densest
       if (done < n && mu != Long.MaxValue) {
         val dens = mu.toDouble / (n - done)
         if (dens > bestDensity) { bestDensity = dens; bestMu = mu; bestSuffix = done }

@@ -3,7 +3,6 @@ package repro.exp
 import repro.core._
 import repro.data.SynthGraphs
 import repro.data.SynthGraphs.StandIn
-import repro.graph.LocalGraph
 import repro.patterns.Pattern
 
 /** Timing + table-rendering helpers shared by bench suites and jobs. */

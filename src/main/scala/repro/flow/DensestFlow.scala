@@ -5,8 +5,9 @@ package repro.flow
   * Implements the Algorithm-1 network (one node per instance) and the
   * `construct+` network (Algorithm 7: one node per GROUP of instances
   * sharing a vertex set, edge capacities scaled by |g|) — by Lemma 12 both
-  * have the same min-st-cut capacity, so the grouped form is used wherever
-  * a flag does not force the baseline behaviour.
+  * have the same min-st-cut capacity. CoreExact groups every pattern but
+  * cliques (whose vertex sets never repeat), QueryDensest groups every
+  * pattern, and Exact, the paper's baseline, builds the ungrouped network.
   *
   * A [[Network]] is built once per vertex set and probed at many guesses α:
   * only the v→t capacities (α·h) depend on α (the premise of parametric
@@ -54,6 +55,9 @@ object DensestFlow {
     * bound μ(G') by μ(G) − Σ_{v∈ψ} deg(v, Ψ) (union bound), so everything
     * pruned here is pruned by Lemma 8; the flow network stays correct because
     * s→v capacities are recomputed from the retained groups (Appendix C.3).
+    * A group whose vertices all have Ψ-degree ≥ μ/n is never pruned, since
+    * then μ − Σ deg(v) ≤ (n − h)·μ/n; inside CoreExact's (k, Ψ)-cores, with
+    * k ≥ ρ, that holds for every group (DESIGN.md deviation 9).
     */
   def pruneLemma8(nVerts: Int, groups: Array[Group], h: Int): Array[Group] = {
     if (nVerts <= h) return groups

@@ -6,15 +6,16 @@ import repro.graph.LocalGraph
 /** Appendix-D optimized (k, Ψ)-core decompositions for special patterns.
   *
   * For x-stars and the diamond (C4), pattern-degrees have closed forms over
-  * the residual graph, so the peel never materializes instances: removing a
-  * vertex only invalidates the degrees of vertices within two hops, which
-  * are recomputed from the formulas. This reduces the decomposition from
-  * O(n·d^x) (resp. O(n·d^3)) to O(n·d^2), as in Appendix D.
+  * the residual graph, so the peel never materializes instances. Removing v
+  * kills only instances through v, and one pass over the live 2-paths from
+  * v finds what each vertex loses; the shared [[Peel]] lowers those degrees
+  * and keeps μ. A removal costs O(Σ_{u∈N(v)} deg(u)), which takes the
+  * decomposition from O(n·d^x) (resp. O(n·d^3)) to O(n·d^2), as in
+  * Appendix D.
   *
-  * Both run on the [[Peel]] engine of [[CliqueCore.decomposeInstances]],
-  * with the same (degree, id) tie rule, so core numbers, removal order and
-  * best residual suffix match the generic peel over the materialized
-  * instance list (asserted in SpecialCoresSpec). Star degrees saturate at
+  * With the generic peel's (degree, id) tie rule, core numbers, removal
+  * order and best residual suffix match [[CliqueCore.decompose]] over the
+  * listed instances (asserted in SpecialCoresSpec). Star degrees saturate at
   * Long.MaxValue like [[Combinatorics.choose]].
   */
 object SpecialCores {
@@ -24,76 +25,95 @@ object SpecialCores {
     require(x >= 2, s"x-star needs x >= 2, got $x")
     val n     = g.n
     val alive = Array.fill(n)(true)
-    val deg   = Array.tabulate(n)(g.degree) // residual edge-degree
+    val d     = Array.tabulate(n)(g.degree) // residual edge-degree
+    val loss  = new Array[Long](n)          // what each vertex loses with the current removal
+    val hit   = new Array[Int](n)           // the vertices with loss > 0
+    val pdeg  = Pattern.Star(x).degrees(g)
+    import Combinatorics.{choose, satAdd}
 
+    // Eq. 25: center term + tail terms over live neighbors
     def starDeg(v: Int): Long = {
-      // Eq. 25: center term + tail terms over live neighbors
-      var t = Combinatorics.choose(deg(v), x)
+      var t = choose(d(v), x)
       val a = g.adj(v)
       var i = 0
-      while (i < a.length) {
-        val u = a(i)
-        if (alive(u)) t = Combinatorics.satAdd(t, Combinatorics.choose(deg(u) - 1, x - 1))
-        i += 1
-      }
+      while (i < a.length) { if (alive(a(i))) t = satAdd(t, choose(d(a(i)) - 1, x - 1)); i += 1 }
       t
     }
 
-    val mu0 = Pattern.Star(x).count(g) // Σ_v C(deg(v), x): one instance per (center, tail-set)
-    val w   = new Wedges(g)
-    val aff = new Array[Int](n)
-    new Peel(Array.tabulate(n)(starDeg)) {
-      private var mu = mu0
+    new Peel(pdeg) {
+      private var hits = 0
 
-      // once saturated, μ stays at Long.MaxValue: the lost terms are unknown
-      private def replaceTerm(before: Long, after: Long): Unit =
-        if (mu != Long.MaxValue) mu = Combinatorics.satAdd(mu - before, after)
-
-      protected def removed(v: Int): Long = {
-        alive(v) = false
-        val k = w.twoHop(v, alive, aff)
-        replaceTerm(Combinatorics.choose(deg(v), x), 0L)
-        g.adj(v).foreach { u =>
-          if (alive(u)) {
-            replaceTerm(Combinatorics.choose(deg(u), x), Combinatorics.choose(deg(u) - 1, x))
-            deg(u) -= 1
-          }
-        }
-        var i = 0
-        while (i < k) { setDegree(aff(i), starDeg(aff(i))); i += 1 }
-        mu
+      private def lose(w: Int, by: Long): Unit = if (by > 0) {
+        if (loss(w) == 0) { hit(hits) = w; hits += 1 }
+        loss(w) = satAdd(loss(w), by)
       }
-    }.run(mu0)
+
+      protected def removed(v: Int): Unit = {
+        alive(v) = false
+        // u ∈ N(v) loses the stars centered on u with tail v and those
+        // centered on v with tail u; w ∈ N(u)∖{v} those centered on u with
+        // tails v and w (d_u is read before it falls)
+        val asTail = choose(d(v) - 1, x - 1)
+        val nv     = g.adj(v)
+        var i      = 0
+        while (i < nv.length) {
+          val u = nv(i)
+          if (alive(u)) {
+            lose(u, satAdd(choose(d(u) - 1, x - 1), asTail))
+            val both = choose(d(u) - 2, x - 2)
+            if (both > 0) {
+              val nu = g.adj(u)
+              var j  = 0
+              while (j < nu.length) { if (nu(j) != v && alive(nu(j))) lose(nu(j), both); j += 1 }
+            }
+            d(u) -= 1
+          }
+          i += 1
+        }
+        // a saturated degree is recounted, once every edge-degree is current
+        i = 0
+        while (i < hits) {
+          val w = hit(i)
+          lower(w, if (pdeg(w) == Long.MaxValue) Long.MaxValue - starDeg(w) else loss(w))
+          loss(w) = 0
+          i += 1
+        }
+        hits = 0
+      }
+    }.run(Pattern.Star(x).count(g))
   }
 
   /** (k, diamond)-core decomposition (diamond = C4, Appendix D.2). */
   def decomposeDiamond(g: LocalGraph): CliqueCore.Result = {
-    val n     = g.n
-    val alive = Array.fill(n)(true)
+    val alive = Array.fill(g.n)(true)
     val w     = new Wedges(g)
-
-    // Σ over live 2-path endpoints u of C(#live common neighbors, 2)
-    def c4Deg(v: Int): Long = { w.around(v, alive, -1); w.cycles }
-
-    val pdeg = Array.tabulate(n)(c4Deg)
-    val sum0 = pdeg.sum // each live C4 counted 4 times
-    val aff  = new Array[Int](n)
+    val pdeg  = Pattern.Diamond.degrees(g)
     new Peel(pdeg) {
-      private var sumDeg = sum0
-
-      protected def removed(v: Int): Long = {
+      protected def removed(v: Int): Unit = {
         alive(v) = false
-        sumDeg -= pdeg(v)
-        val k = w.twoHop(v, alive, aff)
+        // a dead C4 v–a–u–b: u, opposite v, loses a pair of its common
+        // neighbours with v; a and b each lose one per other common neighbour
+        w.around(v, alive, -1)
         var i = 0
-        while (i < k) {
-          val d = c4Deg(aff(i))
-          sumDeg += d - pdeg(aff(i))
-          setDegree(aff(i), d)
+        while (i < w.size) {
+          val c = w.common(w.ends(i)).toLong
+          if (c > 1) lower(w.ends(i), c * (c - 1) / 2)
           i += 1
         }
-        sumDeg / 4
+        val nv = g.adj(v)
+        i = 0
+        while (i < nv.length) {
+          val a = nv(i)
+          if (alive(a)) {
+            val na = g.adj(a)
+            var t  = 0L
+            var j  = 0
+            while (j < na.length) { if (na(j) != v && alive(na(j))) t += w.common(na(j)) - 1; j += 1 }
+            if (t > 0) lower(a, t)
+          }
+          i += 1
+        }
       }
-    }.run(sum0 / 4)
+    }.run(pdeg.sum / 4)
   }
 }

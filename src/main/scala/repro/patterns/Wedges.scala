@@ -7,7 +7,9 @@ import repro.graph.LocalGraph
   * every endpoint u of a live 2-path v–a–u, the live middles a, in a reused
   * `Int` array with a list of the endpoints it touched: no boxing and no
   * hash maps. Each C4 through v is a pair of middles of one endpoint, so
-  * v's C4 degree is Σ_u C(common(u), 2) ([[cycles]]).
+  * v's C4 degree is Σ_u C(common(u), 2) ([[cycles]]). Diamond listing,
+  * its closed-form degrees and the incremental diamond peel of
+  * [[SpecialCores]] all run on it.
   */
 private[patterns] final class Wedges(g: LocalGraph) {
 
@@ -53,22 +55,5 @@ private[patterns] final class Wedges(g: LocalGraph) {
     var i = 0
     while (i < size) { val c = common(ends(i)).toLong; t += c * (c - 1) / 2; i += 1 }
     t
-  }
-
-  /** The live vertices within two hops of v (v excluded) into `out`;
-    * returns how many. The counts of [[around]] mark the 2-path endpoints,
-    * so each vertex is listed once. */
-  def twoHop(v: Int, alive: Array[Boolean], out: Array[Int]): Int = {
-    around(v, alive, -1)
-    System.arraycopy(ends, 0, out, 0, size)
-    var k  = size
-    val nv = g.adj(v)
-    var i  = 0
-    while (i < nv.length) {
-      val a = nv(i)
-      if (alive(a) && common(a) == 0) { out(k) = a; k += 1 }
-      i += 1
-    }
-    k
   }
 }

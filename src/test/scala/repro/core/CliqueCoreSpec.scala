@@ -2,7 +2,6 @@ package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestUtil
-import repro.graph.LocalGraph
 import repro.patterns.Pattern
 
 class CliqueCoreSpec extends AnyFunSuite {
@@ -248,11 +247,11 @@ class CliqueCoreSpec extends AnyFunSuite {
     assert(e2.getMessage.contains("4"), e2.getMessage)
   }
 
-  private val everyPattern: Seq[Pattern] = {
-    val named = Seq(Pattern.Edge, Pattern.Triangle, Pattern.Clique(4), Pattern.Star(2), Pattern.Star(3),
-                    Pattern.Diamond, Pattern.TwoTriangle, Pattern.Path4, Pattern.TailedTriangle)
-    named ++ named.map(Pattern.genericOf)
-  }
+  private val namedPatterns = Seq(Pattern.Edge, Pattern.Triangle, Pattern.Clique(4), Pattern.Star(2),
+                                  Pattern.Star(3), Pattern.Diamond, Pattern.TwoTriangle, Pattern.Path4,
+                                  Pattern.TailedTriangle)
+
+  private val everyPattern: Seq[Pattern] = namedPatterns ++ namedPatterns.map(Pattern.genericOf)
 
   for (p <- everyPattern) {
     test(s"instancesOf equals the flat copy of instances, element for element (Ψ=${p.name})") {
@@ -262,6 +261,21 @@ class CliqueCoreSpec extends AnyFunSuite {
         assert(store.h == p.numVertices && store.count == flat.count)
         assert(store.data.sameElements(flat.data))
       }
+    }
+  }
+
+  for (p <- namedPatterns; seed <- 1 to 3) {
+    test(s"the peel's μ is the recount of its densest residual, the first densest suffix (Ψ=${p.name}, seed=$seed)") {
+      val g    = TestUtil.randomGraph(14, 0.45, seed)
+      val n    = g.n
+      val inst = p.instances(g)
+      val dec  = CliqueCore.decompose(g, p)
+      assert(dec.bestInstances == Densest.countWithin(inst, n, dec.bestResidualVertices))
+      // suffix i is denser than suffix j iff mu(i)·(n − j) > mu(j)·(n − i)
+      val mu    = (0 until n).map(i => Densest.countWithin(inst, n, dec.order.drop(i)))
+      val first = (0 until n).foldLeft(0)((b, i) => if (mu(i) * (n - b) > mu(b) * (n - i)) i else b)
+      assert(mu(0) == dec.totalInstances && mu(0) > 0)
+      assert(dec.bestSuffix == first)
     }
   }
 }

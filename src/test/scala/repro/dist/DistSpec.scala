@@ -3,7 +3,6 @@ package repro.dist
 import java.util.concurrent.atomic.AtomicInteger
 import org.apache.spark.ListenerBusAccess
 import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
-import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec, TestUtil}
 import repro.core.{CliqueCore, Densest, Exact, KCore}
 import repro.data.SynthGraphs

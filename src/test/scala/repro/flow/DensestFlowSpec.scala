@@ -100,6 +100,25 @@ class DensestFlowSpec extends AnyFunSuite {
     assert(DensestFlow.pruneLemma8(5, gs, 3).length == gs.length)
   }
 
+  for (seed <- 1 to 4; p <- Seq(Pattern.Triangle, Pattern.Clique(4), Pattern.Diamond, Pattern.Star(2))) {
+    test(s"pruneLemma8 keeps every group when each group vertex has Ψ-degree ≥ μ/n (k_max-core, $p, seed=$seed)") {
+      // the union bound gives μ − Σ_{v∈ψ} deg(v) ≤ μ − h·μ/n = (n − h)·μ/n,
+      // never a denser residual: inside a (k, Ψ)-core with k ≥ ρ, as in
+      // CoreExact, Lemma 8 prunes nothing
+      val g      = TestUtil.randomGraph(24, 0.4, seed)
+      val core   = g.induced(repro.core.CliqueCore.decompose(g, p).kMaxCoreVertices)
+      val n      = core.n
+      val h      = p.numVertices
+      val groups = DensestFlow.group(p.instances(core))
+      val deg    = new Array[Long](n)
+      groups.foreach(gr => gr.verts.foreach(deg(_) += gr.mult))
+      val mu     = groups.map(_.mult.toLong).sum
+      assert(n > h && mu > 0)
+      assert(groups.forall(_.verts.forall(v => deg(v) * n >= mu)))
+      assert(DensestFlow.pruneLemma8(n, groups, h).sameElements(groups))
+    }
+  }
+
   // α goes up and down, so a reused network must not keep state between probes
   private val alphas = Seq(0.5, 2.0, 0.1, 1.3, 0.0, 3.5, 0.9, 1.3, 0.25)
 

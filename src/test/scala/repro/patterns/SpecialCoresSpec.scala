@@ -3,9 +3,11 @@ package repro.patterns
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestUtil
 import repro.core.{CliqueCore, CoreApp}
+import repro.graph.LocalGraph
 
 /** Appendix-D optimized star / diamond decompositions must be
-  * output-equivalent to the generic instance-materializing peel.
+  * output-equivalent to the generic instance-materializing peel, and on
+  * saturated stars to a peel that recounts Eq. 25 after every removal.
   */
 class SpecialCoresSpec extends AnyFunSuite {
 
@@ -53,7 +55,7 @@ class SpecialCoresSpec extends AnyFunSuite {
   }
 
   test("empty graphs") {
-    val g = repro.graph.LocalGraph.fromEdges(Nil)
+    val g = LocalGraph.fromEdges(Nil)
     assert(SpecialCores.decomposeStar(g, 2).core.isEmpty)
     assert(SpecialCores.decomposeDiamond(g).core.isEmpty)
   }
@@ -89,7 +91,7 @@ class SpecialCoresSpec extends AnyFunSuite {
 
   /** Vertices 0 and 1 are adjacent hubs; each has `leaves` leaves of its own. */
   private def twoHubs(leaves: Int) =
-    repro.graph.LocalGraph.fromEdges((0L, 1L) +: (0 until 2 * leaves).map(i => ((i % 2).toLong, i + 2L)))
+    LocalGraph.fromEdges((0L, 1L) +: (0 until 2 * leaves).map(i => ((i % 2).toLong, i + 2L)))
 
   test("4-star degrees and count saturate instead of wrapping (two hubs, 130k leaves each)") {
     // C(130001, 4) > Long.MaxValue: each hub's center term saturates, and
@@ -135,13 +137,17 @@ class SpecialCoresSpec extends AnyFunSuite {
     assert(dec.bestInstances == Long.MaxValue)
   }
 
-  test("diamond optimized peel equals the generic peel on a hub-heavy graph") {
-    // three hubs, each adjacent to most of 80 vertices, over sparse noise:
-    // a hub's removal changes the C4 degree of nearly every vertex
+  /** Three hubs, each adjacent to most of 80 vertices, over sparse noise: a
+    * hub's removal changes the pattern-degree of nearly every vertex. */
+  private def threeHubs = {
     val rnd   = new scala.util.Random(5)
     val edges = for (u <- 0 until 80; v <- (u + 1) until 80
                      if rnd.nextDouble() < (if (u < 3) 0.7 else 0.04)) yield (u.toLong, v.toLong)
-    val g = repro.graph.LocalGraph.fromEdges(edges, 0L until 80L)
+    LocalGraph.fromEdges(edges, 0L until 80L)
+  }
+
+  test("diamond optimized peel equals the generic peel on a hub-heavy graph") {
+    val g = threeHubs
     val a = SpecialCores.decomposeDiamond(g)
     val b = CliqueCore.decompose(g, Pattern.Diamond)
     assert(a.core.toSeq == b.core.toSeq)
@@ -150,5 +156,70 @@ class SpecialCoresSpec extends AnyFunSuite {
     assert(a.totalInstances == b.totalInstances)
     assert(a.bestInstances == b.bestInstances)
     assert(a.kMax > 0)
+  }
+
+  /** Every field of a peel's result. */
+  private def fields(r: CliqueCore.Result) =
+    (r.core.toSeq, r.order.toSeq, r.bestSuffix, r.bestInstances, r.totalInstances)
+
+  private def closedForm(g: LocalGraph, psi: Pattern): CliqueCore.Result = psi match {
+    case Pattern.Star(x) => SpecialCores.decomposeStar(g, x)
+    case _               => SpecialCores.decomposeDiamond(g)
+  }
+
+  private val inputs: Seq[(String, () => LocalGraph)] =
+    (1 to 3).map(seed => s"G(30, 0.3) seed $seed" -> (() => TestUtil.randomGraph(30, 0.3, seed))) ++
+      Seq("three hubs" -> (() => threeHubs), "dense G(60, 0.5)" -> (() => TestUtil.randomGraph(60, 0.5, 7)))
+
+  for (psi <- Seq(Pattern.Star(2), Pattern.Star(3), Pattern.Star(4), Pattern.Diamond); (name, graph) <- inputs) {
+    test(s"${psi.name} closed-form peel equals the generic peel on every Result field ($name)") {
+      val g = graph()
+      val b = CliqueCore.decomposeInstances(g.n, psi.instances(g))
+      assert(b.totalInstances > 0)
+      assert(fields(closedForm(g, psi)) == fields(b))
+    }
+  }
+
+  /** Reference x-star peel, O(n·m): before each removal, recount Eq. 25 for
+    * every live vertex from the residual edge-degrees and remove the one of
+    * smallest (degree, id). μ is recounted too, but once saturated it stays
+    * unknown (Long.MaxValue), as in [[repro.core.Peel]].
+    */
+  private def referenceStarPeel(g: LocalGraph, x: Int): CliqueCore.Result = {
+    import Combinatorics.{choose, satAdd}
+    val n     = g.n
+    val alive = Array.fill(n)(true)
+    val d     = Array.tabulate(n)(g.degree)
+    val deg   = new Array[Long](n)
+    val core  = new Array[Long](n)
+    val order = new Array[Int](n)
+    val mu0   = Pattern.Star(x).count(g)
+    var mu    = mu0
+    var k     = 0L
+    var (bestMu, bestSuffix) = (mu0, 0)
+    for (step <- 0 until n) {
+      val live = (0 until n).filter(alive)
+      live.foreach(v => deg(v) = g.adj(v).filter(alive).foldLeft(choose(d(v), x))((t, u) => satAdd(t, choose(d(u) - 1, x - 1))))
+      val v = live.minBy(u => (deg(u), u))
+      k = math.max(k, deg(v))
+      core(v) = k
+      order(step) = v
+      alive(v) = false
+      g.adj(v).foreach(d(_) -= 1)
+      if (mu != Long.MaxValue) mu = live.filter(alive).foldLeft(0L)((t, u) => satAdd(t, choose(d(u), x)))
+      val rest = n - step - 1
+      if (rest > 0 && mu != Long.MaxValue && mu.toDouble / rest > bestMu.toDouble / (n - bestSuffix)) {
+        bestMu = mu
+        bestSuffix = step + 1
+      }
+    }
+    CliqueCore.Result(core, order, mu0, bestMu, bestSuffix)
+  }
+
+  for ((leaves, x) <- Seq((900, 6), (900, 7), (900, 8), (2000, 6), (2000, 7))) {
+    test(s"$x-star closed-form peel equals the recounting reference on every Result field (two hubs, $leaves leaves each)") {
+      val g = twoHubs(leaves)
+      assert(fields(SpecialCores.decomposeStar(g, x)) == fields(referenceStarPeel(g, x)))
+    }
   }
 }
