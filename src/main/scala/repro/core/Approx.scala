@@ -25,6 +25,6 @@ object IncApp {
   def run(g: LocalGraph, psi: Pattern): Subgraph = {
     val store = CliqueCore.instancesOf(g, psi)
     if (store.count == 0) return Subgraph.none(g)
-    store.subgraph(g.n, CliqueCore.peel(g.n, store).kMaxCoreVertices)
+    store.subgraph(CliqueCore.peel(store).kMaxCoreVertices)
   }
 }

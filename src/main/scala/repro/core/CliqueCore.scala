@@ -7,12 +7,15 @@ import scala.collection.mutable
 /** (k, Ψ)-core decomposition (Algorithm 3), generalized to any pattern.
   *
   * Instances of Ψ are stored once in one flat `Int` array with stride h
-  * ([[Instances]]) and indexed per vertex in one CSR (an offset array of
-  * n + 1 entries over one array of instance ids). The shared [[Peel]]
-  * removes the live vertex of smallest (Ψ-degree, id); its live instances
-  * die and their other members lose one degree each. Core
-  * numbers are those of the paper's re-enumeration variant, with the same
-  * worst-case complexity (see DESIGN.md "Deviations").
+  * ([[Instances]]), which also carries its vertex range n and each vertex's
+  * Ψ-degree, counted and checked as the store is filled. The per-vertex
+  * index is one CSR (an offset array of n + 1 entries over one array of
+  * instance ids), laid out by a prefix sum of those degrees and one fill
+  * pass. The shared [[Peel]] removes the live vertex of smallest
+  * (Ψ-degree, id); its live instances die, and each other member loses
+  * them all in one update. Core numbers are those of the paper's
+  * re-enumeration variant, with the same worst-case complexity (see
+  * DESIGN.md "Deviations").
   *
   * The peel also records, for every prefix of removals, μ and the density of
   * the residual graph — this yields ρ' for CoreExact's Pruning 1 and the best
@@ -62,26 +65,29 @@ object CliqueCore {
   }
 
   /** Decompose `g` w.r.t. pattern `psi`, listed straight into the flat store. */
-  def decompose(g: LocalGraph, psi: Pattern): Result = peel(g.n, instancesOf(g, psi))
+  def decompose(g: LocalGraph, psi: Pattern): Result = peel(instancesOf(g, psi))
 
   /** Decompose given pre-materialized instance arrays, copied into the flat
     * store first.
     *
-    * @throws IllegalArgumentException as [[flatten]] and [[index]] do
+    * @throws IllegalArgumentException as [[flatten]] does
     */
-  def decomposeInstances(n: Int, instances: Array[Array[Int]]): Result = peel(n, flatten(instances))
+  def decomposeInstances(n: Int, instances: Array[Array[Int]]): Result = peel(flatten(n, instances))
 
-  /** Instances of a pattern on `h` vertices in one flat array with stride h:
-    * instance i holds `data(i * h until (i + 1) * h)`. The one instance
-    * format from a pattern's listing to the flow network's groups.
+  /** Instances of a pattern on `h` vertices of 0 until n in one flat array
+    * with stride h: instance i holds `data(i * h until (i + 1) * h)`, and
+    * `degrees(v)` is the number of instances holding v (its Ψ-degree; n is
+    * its length). The one instance format from a pattern's listing to the
+    * flow network's groups.
     */
-  private[core] final class Instances(val h: Int, val data: Array[Int], val count: Int) {
+  private[core] final class Instances(val h: Int, val data: Array[Int], val count: Int, val degrees: Array[Int]) {
+    def n: Int = degrees.length
 
     /** The number of instances inside `vs`, a subset of 0 until n. */
-    def countWithin(n: Int, vs: Array[Int]): Long = loads(n, Vector(vs))._1(0)
+    def countWithin(vs: Array[Int]): Long = loads(Vector(vs))._1(0)
 
     /** `vs` with its μ. */
-    def subgraph(n: Int, vs: Array[Int]): Subgraph = Subgraph(vs, countWithin(n, vs))
+    def subgraph(vs: Array[Int]): Subgraph = Subgraph(vs, countWithin(vs))
 
     /** One array per instance, in store order: what the network builder reads. */
     def toArrays: Array[Array[Int]] =
@@ -103,7 +109,7 @@ object CliqueCore {
       *
       * @throws IllegalArgumentException as [[partition]] does
       */
-    def loads(n: Int, parts: IndexedSeq[Array[Int]]): (Array[Long], Array[Long]) = {
+    def loads(parts: IndexedSeq[Array[Int]]): (Array[Long], Array[Long]) = {
       val part = label(n, parts)._1
       val mu   = new Array[Long](parts.length)
       val max  = new Array[Long](parts.length)
@@ -123,18 +129,19 @@ object CliqueCore {
 
     /** Two passes for disjoint vertex sets `parts` of 0 until n: part p gets
       * its instances in store order, renumbered to positions in parts(p),
-      * each sorted within its stride.
+      * each sorted within its stride, with their degrees.
       *
       * @throws IllegalArgumentException if a part vertex is outside [0, n)
       *         or in two parts
       */
-    def partition(n: Int, parts: IndexedSeq[Array[Int]]): Array[Instances] = {
+    def partition(parts: IndexedSeq[Array[Int]]): Array[Instances] = {
       val (part, pos) = label(n, parts)
       val of   = new Array[Int](count) // the part of each instance, or -1
       val size = new Array[Int](parts.length)
       var i    = 0
       while (i < count) { of(i) = partOf(part, i); if (of(i) >= 0) size(of(i)) += 1; i += 1 }
       val out = size.map(c => new Array[Int](c * h))
+      val deg = parts.map(vs => new Array[Int](vs.length))
       val at  = new Array[Int](parts.length)
       i = 0
       while (i < count) {
@@ -142,17 +149,17 @@ object CliqueCore {
         if (p >= 0) {
           val a = at(p)
           var j = 0
-          while (j < h) { out(p)(a + j) = pos(data(i * h + j)); j += 1 }
+          while (j < h) { val q = pos(data(i * h + j)); out(p)(a + j) = q; deg(p)(q) += 1; j += 1 }
           java.util.Arrays.sort(out(p), a, a + h)
           at(p) = a + h
         }
         i += 1
       }
-      Array.tabulate(parts.length)(p => new Instances(h, out(p), size(p)))
+      Array.tabulate(parts.length)(p => new Instances(h, out(p), size(p), deg(p)))
     }
 
     /** The instances inside `vs`, renumbered to positions in `vs`, each sorted. */
-    def restrict(n: Int, vs: Array[Int]): Instances = partition(n, Vector(vs))(0)
+    def restrict(vs: Array[Int]): Instances = partition(Vector(vs))(0)
   }
 
   /** Part and position in it of every vertex of 0 until n in one of the
@@ -177,27 +184,72 @@ object CliqueCore {
     (part, pos)
   }
 
-  /** Collects instances of h >= 1 vertices in fixed-size chunks, then
-    * copies them once into the flat array: growing one array by doubling
+  /** A zeroed degree array for vertex range n.
+    *
+    * @throws IllegalArgumentException if n < 0
+    */
+  private def degreesFor(n: Int): Array[Int] = {
+    if (n < 0) throw new IllegalArgumentException(s"vertex count $n is negative")
+    new Array[Int](n)
+  }
+
+  /** Counts instance `id`, at `data(base until base + h)`, into `deg`.
+    *
+    * @throws IllegalArgumentException if it holds a vertex outside
+    *         [0, deg.length) or repeats a vertex
+    */
+  private def admit(deg: Array[Int], data: Array[Int], base: Int, h: Int, id: Int): Unit = {
+    // sorted, as listings emit them: in range and strictly increasing means
+    // no vertex outside [0, n) and none repeated
+    var ok = h > 0 && data(base) >= 0 && data(base + h - 1) < deg.length
+    var i  = base + 1
+    while (ok && i < base + h) { ok = data(i - 1) < data(i); i += 1 }
+    i = base
+    while (i < base + h) {
+      val v = data(i)
+      if (!ok) {
+        if (v < 0 || v >= deg.length)
+          throw new IllegalArgumentException(s"instance $id holds vertex $v outside [0, ${deg.length})")
+        var j = base
+        while (j < i) {
+          if (data(j) == v) throw new IllegalArgumentException(s"instance $id repeats vertex $v")
+          j += 1
+        }
+      }
+      deg(v) += 1
+      i += 1
+    }
+  }
+
+  /** Collects instances of h >= 1 vertices of 0 until n in fixed-size
+    * chunks, counting each vertex's instances as it copies them, then copies
+    * the chunks once into the flat array: growing one array by doubling
     * would copy and zero it again at every step.
     */
-  private final class Collector(h: Int) extends (Array[Int] => Unit) {
+  private final class Collector(n: Int, h: Int) extends (Array[Int] => Unit) {
     private val chunkLen = math.max(1, (1 << 16) / h) * h
     private val full     = mutable.ArrayBuffer.empty[Array[Int]]
+    private val deg      = degreesFor(n)
     private var chunk    = new Array[Int](chunkLen)
     private var at       = 0
+    private var count    = 0
 
     def apply(inst: Array[Int]): Unit = {
-      if (at == chunkLen) {
-        if ((full.length + 2L) * chunkLen > Int.MaxValue - 8)
-          throw new IllegalArgumentException(
-            s"more than ${(full.length + 1L) * chunkLen} vertex-instance incidences do not fit one array")
-        full += chunk
-        chunk = new Array[Int](chunkLen)
-        at = 0
-      }
+      if (at == chunkLen) nextChunk()
       var i = 0
-      while (i < h) { chunk(at) = inst(i); at += 1; i += 1 }
+      while (i < h) { chunk(at + i) = inst(i); i += 1 }
+      admit(deg, chunk, at, h, count)
+      at += h
+      count += 1
+    }
+
+    private def nextChunk(): Unit = {
+      if ((full.length + 2L) * chunkLen > Int.MaxValue - 8)
+        throw new IllegalArgumentException(
+          s"more than ${(full.length + 1L) * chunkLen} vertex-instance incidences do not fit one array")
+      full += chunk
+      chunk = new Array[Int](chunkLen)
+      at = 0
     }
 
     def result(): Instances = {
@@ -205,7 +257,7 @@ object CliqueCore {
       var o    = 0
       full.foreach { c => System.arraycopy(c, 0, data, o, chunkLen); o += chunkLen }
       System.arraycopy(chunk, 0, data, o, at)
-      new Instances(h, data, data.length / h)
+      new Instances(h, data, count, deg)
     }
   }
 
@@ -213,99 +265,92 @@ object CliqueCore {
     * emit buffer.
     */
   private[core] def instancesOf(g: LocalGraph, psi: Pattern): Instances = {
-    val c = new Collector(psi.numVertices)
+    val c = new Collector(g.n, psi.numVertices)
     psi.forEach(g)(c)
     c.result()
   }
 
-  /** The flat copy of an instance list.
+  /** The flat copy of an instance list over 0 until n.
     *
-    * @throws IllegalArgumentException if the instances differ in size or do
-    *         not fit one array
+    * @throws IllegalArgumentException if n < 0, the instances differ in size
+    *         or do not fit one array, or an instance holds a vertex outside
+    *         [0, n) or repeats a vertex
     */
-  private[core] def flatten(instances: Array[Array[Int]]): Instances = {
+  private[core] def flatten(n: Int, instances: Array[Array[Int]]): Instances = {
+    val deg   = degreesFor(n)
     val h     = if (instances.isEmpty) 0 else instances(0).length
     val total = instances.length.toLong * h
     if (total > Int.MaxValue - 8)
       throw new IllegalArgumentException(s"$total vertex-instance incidences do not fit one array")
     val data = new Array[Int](total.toInt)
-    var at   = 0
     var i    = 0
     while (i < instances.length) {
       val inst = instances(i)
       if (inst.length != h)
         throw new IllegalArgumentException(s"instance $i has ${inst.length} vertices, instance 0 has $h")
       var j = 0
-      while (j < h) { data(at) = inst(j); at += 1; j += 1 }
+      while (j < h) { data(i * h + j) = inst(j); j += 1 }
+      admit(deg, data, i * h, h, i)
       i += 1
     }
-    new Instances(h, data, instances.length)
+    new Instances(h, data, instances.length, deg)
   }
 
   /** The peel engine: removing u kills u's live instances, and each of
-    * their other members loses one degree.
+    * their other members w loses them all in one update, summed in loss(w)
+    * over a touched list.
     */
-  private[core] def peel(n: Int, s: Instances): Result = {
-    val (off, ids) = index(n, s)
+  private[core] def peel(s: Instances): Result = {
+    val (off, ids) = index(s)
+    val n   = s.n
     val deg = new Array[Long](n)
     var v   = 0
-    while (v < n) { deg(v) = off(v + 1) - off(v); v += 1 }
+    while (v < n) { deg(v) = s.degrees(v); v += 1 }
 
     val h    = s.h
     val data = s.data
     val dead = new Array[Boolean](s.count)
+    val loss = new Array[Int](n) // what each vertex loses with the current removal
+    val hit  = new Array[Int](n) // the vertices with loss > 0
     new Peel(deg) {
       protected def removed(u: Int): Unit = {
-        var i = off(u)
+        var hits = 0
+        var i    = off(u)
         while (i < off(u + 1)) {
           val id = ids(i)
           if (!dead(id)) {
             dead(id) = true
             // a live instance has only live members
             var j = id * h
-            while (j < (id + 1) * h) { if (data(j) != u) lower(data(j), 1); j += 1 }
+            while (j < (id + 1) * h) {
+              val w = data(j)
+              if (w != u) { if (loss(w) == 0) { hit(hits) = w; hits += 1 }; loss(w) += 1 }
+              j += 1
+            }
           }
           i += 1
         }
+        while (hits > 0) { hits -= 1; val w = hit(hits); lower(w, loss(w)); loss(w) = 0 }
       }
     }.run(s.count.toLong)
   }
 
   /** Vertex → instance index as one CSR: the ids of the instances that hold
-    * v are `ids(off(v) until off(v + 1))`, in increasing order.
-    *
-    * @throws IllegalArgumentException if n < 0, or an instance holds a vertex
-    *         outside [0, n) or repeats a vertex
+    * v are `ids(off(v) until off(v + 1))`, in increasing order. The store's
+    * degrees give the offsets; one pass fills the ids.
     */
-  private[core] def index(n: Int, s: Instances): (Array[Int], Array[Int]) = {
-    if (n < 0) throw new IllegalArgumentException(s"vertex count $n is negative")
+  private[core] def index(s: Instances): (Array[Int], Array[Int]) = {
+    val n    = s.n
     val h    = s.h
     val data = s.data
-    // off(v) counts v's instances, then becomes the end of v's slice of ids
-    // and, after the fill, its start
+    // off(v) is the end of v's slice of ids and, after the fill, its start
     val off = new Array[Int](n + 1)
-    var id  = 0
-    while (id < s.count) {
-      val base = id * h
-      var i    = base
-      while (i < base + h) {
-        val v = data(i)
-        if (v < 0 || v >= n)
-          throw new IllegalArgumentException(s"instance $id holds vertex $v outside [0, $n)")
-        var j = base
-        while (j < i) {
-          if (data(j) == v) throw new IllegalArgumentException(s"instance $id repeats vertex $v")
-          j += 1
-        }
-        off(v) += 1
-        i += 1
-      }
-      id += 1
-    }
-    var v = 0
-    while (v < n) { off(v + 1) += off(v); v += 1 }
+    var end = 0
+    var v   = 0
+    while (v < n) { end += s.degrees(v); off(v) = end; v += 1 }
+    off(n) = end
     val ids = new Array[Int](s.count * h)
-    id = s.count - 1
+    var id  = s.count - 1
     while (id >= 0) {
       var i = id * h
       while (i < (id + 1) * h) { val w = data(i); off(w) -= 1; ids(off(w)) = id; i += 1 }

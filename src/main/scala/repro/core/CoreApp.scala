@@ -125,8 +125,8 @@ object CoreApp {
       (dec.kMax, core, () => psi.count(g.induced(core)))
     case _ =>
       val s    = CliqueCore.instancesOf(g, psi)
-      val dec  = CliqueCore.peel(g.n, s)
+      val dec  = CliqueCore.peel(s)
       val core = dec.kMaxCoreVertices
-      (dec.kMax, core, () => s.countWithin(g.n, core))
+      (dec.kMax, core, () => s.countWithin(core))
   }
 }

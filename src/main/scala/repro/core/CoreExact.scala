@@ -44,9 +44,8 @@ object CoreExact {
 
   def runWithStats(g: LocalGraph, psi: Pattern): (Subgraph, Stats) = {
     val t0    = System.nanoTime()
-    val n     = g.n
     val store = CliqueCore.instancesOf(g, psi)
-    val dec   = CliqueCore.peel(n, store)
+    val dec   = CliqueCore.peel(store)
     val tCore = System.nanoTime() - t0
     if (store.count == 0)
       return (Subgraph.none(g), Stats(tCore, System.nanoTime() - t0, Vector.empty, 0))
@@ -65,7 +64,7 @@ object CoreExact {
     // Pruning 2: per-component densities of the (k', Ψ)-core; the same pass
     // over Λ gives each component its largest load (Optimization 5)
     val compsKp        = g.components(kpVerts)
-    val (muKp, loadKp) = store.loads(n, compsKp)
+    val (muKp, loadKp) = store.loads(compsKp)
     compsKp.indices.foreach { i =>
       val c = Subgraph(compsKp(i), muKp(i))
       if (c.density > best.density) best = c
@@ -83,9 +82,9 @@ object CoreExact {
     // first that does gives each of them its renumbered store, in one pass.
     val (comps, load) =
       if (kPP == kPrime) (compsKp, loadKp)
-      else { val cs = g.components(dec.coreVertices(kPP)); (cs, store.loads(n, cs)._2) }
+      else { val cs = g.components(dec.coreVertices(kPP)); (cs, store.loads(cs)._2) }
     def bounded(load: Long, b: Subgraph): Boolean = load * b.size <= h.toLong * b.instances
-    lazy val lists = store.partition(n, comps.indices.map(c => if (bounded(load(c), best)) Array.emptyIntArray else comps(c)))
+    lazy val lists = store.partition(comps.indices.map(c => if (bounded(load(c), best)) Array.emptyIntArray else comps(c)))
     val search = new DensitySearch((nv, local) => new DensestFlow.Network(
       nv, DensestFlow.pruneLemma8(nv, group(local.toArrays), h), h), best)
     // positions in vs of the vertices of the (k, Ψ)-core
@@ -104,8 +103,8 @@ object CoreExact {
         else if (shrinkK == kPP) Some((cc, lists(c)))
         else {
           val keep = inCore(cc, shrinkK)
-          if (bounded(lists(c).loads(cc.length, Vector(keep))._2(0), b)) None
-          else Some((keep.map(cc), lists(c).restrict(cc.length, keep)))
+          if (bounded(lists(c).loads(Vector(keep))._2(0), b)) None
+          else Some((keep.map(cc), lists(c).restrict(keep)))
         }
       open match {
         case None => byBound += 1

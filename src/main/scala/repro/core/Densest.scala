@@ -1,7 +1,6 @@
 package repro.core
 
 import repro.graph.LocalGraph
-import repro.patterns.Pattern
 
 /** A candidate densest subgraph: vertex set (local ids of the input graph)
   * and its instance count μ.
@@ -34,17 +33,13 @@ object Densest {
     val mask = new Array[Boolean](n)
     var i = 0
     while (i < s.length) { mask(s(i)) = true; i += 1 }
-    countWithinMask(instances, mask)
-  }
-
-  def countWithinMask(instances: Array[Array[Int]], mask: Array[Boolean]): Long = {
     var c = 0L
     var k = 0
     while (k < instances.length) {
       val inst = instances(k)
-      var i = 0
-      while (i < inst.length && mask(inst(i))) i += 1
-      if (i == inst.length) c += 1
+      var j = 0
+      while (j < inst.length && mask(inst(j))) j += 1
+      if (j == inst.length) c += 1
       k += 1
     }
     c
@@ -53,29 +48,4 @@ object Densest {
   /** Build a Subgraph record for vertex set `s` of a graph with n vertices. */
   def subgraphOf(instances: Array[Array[Int]], n: Int, s: Array[Int]): Subgraph =
     Subgraph(s, countWithin(instances, n, s))
-
-  /** Brute-force densest subgraph for tiny graphs (n <= 20): enumerate every
-    * non-empty vertex subset. Test oracle only.
-    */
-  def bruteForce(g: LocalGraph, psi: Pattern): Subgraph = {
-    require(g.n <= 20, s"brute force limited to n<=20, got ${g.n}")
-    val inst = psi.instances(g)
-    var best = Subgraph(Array(0), 0L)
-    val mask = new Array[Boolean](g.n)
-    var bits = 1
-    val lim  = 1 << g.n
-    while (bits < lim) {
-      java.util.Arrays.fill(mask, false)
-      var sz = 0
-      var b  = 0
-      while (b < g.n) {
-        if ((bits & (1 << b)) != 0) { mask(b) = true; sz += 1 }
-        b += 1
-      }
-      val mu = countWithinMask(inst, mask)
-      if (mu.toDouble / sz > best.density) best = Subgraph((0 until g.n).filter(mask).toArray, mu)
-      bits += 1
-    }
-    best
-  }
 }

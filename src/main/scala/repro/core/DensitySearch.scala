@@ -38,7 +38,7 @@ private[core] final class DensitySearch(network: (Int, CliqueCore.Instances) => 
     val s       = net.denserThan(alpha)
     phases += net.dinic.phases - phases0
     if (s.isEmpty) return None
-    val cand = Subgraph(s.map(verts), local.countWithin(verts.length, s))
+    val cand = Subgraph(s.map(verts), local.countWithin(s))
     if (cand.density > best.density) best = cand
     Some(cand).filter(_.density > alpha)
   }
@@ -56,7 +56,7 @@ private[core] final class DensitySearch(network: (Int, CliqueCore.Instances) => 
     var found = probe(l0)
     while (found.nonEmpty) {
       val keep = shrink(found.get, verts)
-      if (keep.length != verts.length) on(keep.map(verts), local.restrict(verts.length, keep))
+      if (keep.length != verts.length) on(keep.map(verts), local.restrict(keep))
       found = probe(found.get.density)
     }
   }

@@ -17,13 +17,14 @@ object NucleusAND {
 
   /** Clique/pattern-core numbers via asynchronous local h-index iteration. */
   def coreNumbers(g: LocalGraph, psi: Pattern): Array[Long] =
-    coreNumbers(g.n, CliqueCore.instancesOf(g, psi))
+    coreNumbers(CliqueCore.instancesOf(g, psi))
 
-  private def coreNumbers(n: Int, s: CliqueCore.Instances): Array[Long] = {
-    val (off, ids) = CliqueCore.index(n, s)
+  private def coreNumbers(s: CliqueCore.Instances): Array[Long] = {
+    val n          = s.n
+    val (off, ids) = CliqueCore.index(s)
     val est = new Array[Long](n) // start at Ψ-degree
     var v   = 0
-    while (v < n) { est(v) = off(v + 1) - off(v); v += 1 }
+    while (v < n) { est(v) = s.degrees(v); v += 1 }
 
     var changed = true
     while (changed) {
@@ -67,8 +68,8 @@ object NucleusAND {
   def run(g: LocalGraph, psi: Pattern): Subgraph = {
     val store = CliqueCore.instancesOf(g, psi)
     if (store.count == 0) return Subgraph.none(g)
-    val core = coreNumbers(g.n, store)
+    val core = coreNumbers(store)
     val kMax = core.max
-    store.subgraph(g.n, core.indices.filter(core(_) >= kMax).toArray)
+    store.subgraph(core.indices.filter(core(_) >= kMax).toArray)
   }
 }

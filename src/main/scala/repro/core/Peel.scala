@@ -14,10 +14,12 @@ package repro.core
   * as long as the largest degree, 31,465 on Ca-HepTh with Ψ = 5-clique, and
   * its order within a bucket would depend on the update history.)
   *
-  * A subclass only lowers degrees, in [[removed]]. The peel keeps μ: deg(v)
-  * at v's removal counts exactly v's live instances, so μ falls by deg(v).
-  * A saturated μ (Long.MaxValue, as [[repro.patterns.Combinatorics.choose]])
-  * stays unknown; a known μ bounds every degree, so none is saturated.
+  * A subclass only lowers degrees, in [[removed]], and lowers each vertex
+  * the removal touched once, by all it lost: one sift per touched vertex,
+  * not one per lost instance. The peel keeps μ: deg(v) at v's removal
+  * counts exactly v's live instances, so μ falls by deg(v). A saturated μ
+  * (Long.MaxValue, as [[repro.patterns.Combinatorics.choose]]) stays
+  * unknown; a known μ bounds every degree, so none is saturated.
   *
   * @param deg initial pattern-degree per vertex; the peel updates it in place
   */

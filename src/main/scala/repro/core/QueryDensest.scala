@@ -20,18 +20,17 @@ object QueryDensest {
   def run(g: LocalGraph, psi: Pattern, query: Set[Int]): Subgraph = {
     require(query.nonEmpty, "query set is empty")
     query.foreach(v => require(v >= 0 && v < g.n, s"query vertex $v is outside [0, ${g.n})"))
-    val n         = g.n
-    val h         = psi.numVertices
-    val store     = CliqueCore.instancesOf(g, psi)
+    val h     = psi.numVertices
+    val store = CliqueCore.instancesOf(g, psi)
     if (store.count == 0) return Subgraph(query.toArray.sorted, 0L)
-    val dec = CliqueCore.peel(n, store)
+    val dec = CliqueCore.peel(store)
     val x   = query.map(dec.core(_)).min
     val kLoc = (x + h - 1) / h // ⌈x/|V_Ψ|⌉
 
     // candidate vertex set: the localization core plus Q itself
     val cand   = (dec.coreVertices(kLoc).toSet ++ query).toArray.sorted
     val pinned = query.toArray.map(java.util.Arrays.binarySearch(cand, _))
-    val local  = store.restrict(n, cand)
+    val local  = store.restrict(cand)
     // seed: the smallest core containing Q is itself a Q-containing candidate
     val search = new DensitySearch((nv, inst) => new DensestFlow.Network(nv, DensestFlow.group(inst.toArrays), h, pinned),
       Subgraph(cand, local.count.toLong))
@@ -41,25 +40,5 @@ object QueryDensest {
     search.climb(math.max(x.toDouble / h, search.best.density))
     // the result must contain Q: every probe's source side and the seed do
     search.best
-  }
-
-  /** Brute-force reference for tiny graphs: densest subset containing Q. */
-  def bruteForce(g: LocalGraph, psi: Pattern, query: Set[Int]): Subgraph = {
-    require(g.n <= 20)
-    val inst = psi.instances(g)
-    var best: Subgraph = null
-    val lim = 1 << g.n
-    var bits = 0
-    while (bits < lim) {
-      if (query.forall(q => (bits & (1 << q)) != 0)) {
-        val s  = (0 until g.n).filter(b => (bits & (1 << b)) != 0).toArray
-        if (s.nonEmpty) {
-          val sg = Densest.subgraphOf(inst, g.n, s)
-          if (best == null || sg.density > best.density) best = sg
-        }
-      }
-      bits += 1
-    }
-    best
   }
 }

@@ -88,22 +88,25 @@ object Pattern {
       while (c < g.n) { combos(g.adj(c), 0, 0, c); c += 1 }
     }
 
-    /** Closed-form star degree (Appendix D.1, Eq. 25):
-      * C(deg(v), x) as center + Σ_{u∈N(v)} C(deg(u)-1, x-1) as a tail,
-      * saturating at Long.MaxValue.
+    /** Closed-form star degree (Appendix D.1, Eq. 25) of v over edge-degrees
+      * `d`: C(d(v), x) as center + Σ_{u∈N(v), live(u)} C(d(u)-1, x-1) as a
+      * tail, saturating at Long.MaxValue.
       */
-    override def degrees(g: LocalGraph): Array[Long] = {
-      val x = tails
-      Array.tabulate(g.n) { v =>
-        var t = Combinatorics.choose(g.degree(v), x)
-        val a = g.adj(v)
-        var i = 0
-        while (i < a.length) {
-          t = Combinatorics.satAdd(t, Combinatorics.choose(g.degree(a(i)) - 1, x - 1))
-          i += 1
-        }
-        t
+    def degree(g: LocalGraph, d: Array[Int], live: Int => Boolean, v: Int): Long = {
+      var t = Combinatorics.choose(d(v), tails)
+      val a = g.adj(v)
+      var i = 0
+      while (i < a.length) {
+        if (live(a(i))) t = Combinatorics.satAdd(t, Combinatorics.choose(d(a(i)) - 1, tails - 1))
+        i += 1
       }
+      t
+    }
+
+    /** Eq. 25 for every vertex of `g`. */
+    override def degrees(g: LocalGraph): Array[Long] = {
+      val d = Array.tabulate(g.n)(g.degree)
+      Array.tabulate(g.n)(degree(g, d, _ => true, _))
     }
 
     override def count(g: LocalGraph): Long =

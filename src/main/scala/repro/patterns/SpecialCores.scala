@@ -28,17 +28,9 @@ object SpecialCores {
     val d     = Array.tabulate(n)(g.degree) // residual edge-degree
     val loss  = new Array[Long](n)          // what each vertex loses with the current removal
     val hit   = new Array[Int](n)           // the vertices with loss > 0
-    val pdeg  = Pattern.Star(x).degrees(g)
+    val star  = Pattern.Star(x)
+    val pdeg  = star.degrees(g)
     import Combinatorics.{choose, satAdd}
-
-    // Eq. 25: center term + tail terms over live neighbors
-    def starDeg(v: Int): Long = {
-      var t = choose(d(v), x)
-      val a = g.adj(v)
-      var i = 0
-      while (i < a.length) { if (alive(a(i))) t = satAdd(t, choose(d(a(i)) - 1, x - 1)); i += 1 }
-      t
-    }
 
     new Peel(pdeg) {
       private var hits = 0
@@ -74,13 +66,13 @@ object SpecialCores {
         i = 0
         while (i < hits) {
           val w = hit(i)
-          lower(w, if (pdeg(w) == Long.MaxValue) Long.MaxValue - starDeg(w) else loss(w))
+          lower(w, if (pdeg(w) == Long.MaxValue) Long.MaxValue - star.degree(g, d, alive(_), w) else loss(w))
           loss(w) = 0
           i += 1
         }
         hits = 0
       }
-    }.run(Pattern.Star(x).count(g))
+    }.run(star.count(g))
   }
 
   /** (k, diamond)-core decomposition (diamond = C4, Appendix D.2). */

@@ -1,6 +1,6 @@
 package repro
 
-import repro.core.CliqueCore
+import repro.core.{CliqueCore, Densest, Subgraph}
 import repro.graph.LocalGraph
 import repro.patterns.Pattern
 import scala.collection.mutable
@@ -56,6 +56,58 @@ object TestUtil {
     keep
   }
 
+  /** Brute-force densest subgraph for tiny graphs (n <= 20): enumerate every
+    * non-empty vertex subset.
+    */
+  def bruteForce(g: LocalGraph, psi: Pattern): Subgraph = {
+    require(g.n <= 20, s"brute force limited to n<=20, got ${g.n}")
+    val inst = psi.instances(g)
+    var best = Subgraph(Array(0), 0L)
+    val mask = new Array[Boolean](g.n)
+    var bits = 1
+    val lim  = 1 << g.n
+    while (bits < lim) {
+      java.util.Arrays.fill(mask, false)
+      var sz = 0
+      var b  = 0
+      while (b < g.n) {
+        if ((bits & (1 << b)) != 0) { mask(b) = true; sz += 1 }
+        b += 1
+      }
+      var mu = 0L
+      var k  = 0
+      while (k < inst.length) {
+        var i = 0
+        while (i < inst(k).length && mask(inst(k)(i))) i += 1
+        if (i == inst(k).length) mu += 1
+        k += 1
+      }
+      if (mu.toDouble / sz > best.density) best = Subgraph((0 until g.n).filter(mask).toArray, mu)
+      bits += 1
+    }
+    best
+  }
+
+  /** Brute-force reference for tiny graphs: densest subset containing Q. */
+  def bruteForce(g: LocalGraph, psi: Pattern, query: Set[Int]): Subgraph = {
+    require(g.n <= 20)
+    val inst = psi.instances(g)
+    var best: Subgraph = null
+    val lim = 1 << g.n
+    var bits = 0
+    while (bits < lim) {
+      if (query.forall(q => (bits & (1 << q)) != 0)) {
+        val s  = (0 until g.n).filter(b => (bits & (1 << b)) != 0).toArray
+        if (s.nonEmpty) {
+          val sg = Densest.subgraphOf(inst, g.n, s)
+          if (best == null || sg.density > best.density) best = sg
+        }
+      }
+      bits += 1
+    }
+    best
+  }
+
   /** Reference (k, Ψ)-peel, O(n · |instances|): at each step recount every
     * live vertex's Ψ-degree over the live instances and remove the one with
     * the smallest (degree, id); an instance dies with its first removed
@@ -92,6 +144,27 @@ object TestUtil {
     }
     CliqueCore.Result(core, order, instances.length.toLong, bestMu, bestSuffix)
   }
+
+  /** Every field of a peel's result, for comparing two peels whole. */
+  def peelFields(r: CliqueCore.Result): (Seq[Long], Seq[Int], Int, Long, Long) =
+    (r.core.toSeq, r.order.toSeq, r.bestSuffix, r.bestInstances, r.totalInstances)
+
+  /** The most instances one removal of a peel in `order` kills that hold
+    * the same other vertex: an instance dies with its first removed member. */
+  def maxHits(order: Array[Int], instances: Array[Array[Int]]): Int = {
+    val rank = new Array[Int](order.length)
+    order.indices.foreach(i => rank(order(i)) = i)
+    instances.groupBy(_.minBy(rank(_))).map { case (u, killed) =>
+      killed.flatMap(_.filter(_ != u)).groupBy(identity).values.map(_.length).max
+    }.maxOption.getOrElse(0)
+  }
+
+  /** Two adjacent hubs 0 and 1, each joined to all of `leaves` leaves, which
+    * form a cycle: every leaf and leaf edge lies in triangles with both hubs. */
+  def twoHubs(leaves: Int): LocalGraph =
+    LocalGraph.fromEdges(Seq((0L, 1L)) ++ (2 until leaves + 2).flatMap { l =>
+      Seq((0L, l.toLong), (1L, l.toLong), (l.toLong, (2 + (l - 1) % leaves).toLong))
+    })
 
   /** Reference h-clique listing (h >= 2) in the kernel's emission order:
     * the plain kClist recursion, with out-lists of the degeneracy order

@@ -16,7 +16,7 @@ class ApproxSpec extends AnyFunSuite {
   for (seed <- 1 to 5; (p, nm) <- patterns) {
     test(s"PeelApp achieves >= 1/|V_Ψ| of the optimum (seed=$seed, Ψ=$nm)") {
       val g   = TestUtil.randomGraph(12, 0.45, seed)
-      val opt = Densest.bruteForce(g, p).density
+      val opt = TestUtil.bruteForce(g, p).density
       val r   = PeelApp.run(g, p)
       assert(r.density + 1e-9 >= opt / p.numVertices,
         s"peel=${r.density} opt=$opt h=${p.numVertices}")
@@ -41,7 +41,7 @@ class ApproxSpec extends AnyFunSuite {
       val g   = TestUtil.randomGraph(12, 0.5, seed)
       val inst = p.instances(g)
       if (inst.nonEmpty) {
-        val opt = Densest.bruteForce(g, p).density
+        val opt = TestUtil.bruteForce(g, p).density
         val r   = IncApp.run(g, p)
         assert(r.density + 1e-9 >= opt / p.numVertices)
         // the returned set must be the definitional (k_max, Ψ)-core

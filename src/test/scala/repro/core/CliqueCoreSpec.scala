@@ -136,6 +136,21 @@ class CliqueCoreSpec extends AnyFunSuite {
     }
   }
 
+  // one removal lowers each touched vertex once, by all it shared with the
+  // removed vertex: inputs where that is many instances at once
+  for ((g, p, nm) <- Seq((TestUtil.complete(12), Pattern.Clique(4), "K12, 4-clique"),
+                         (TestUtil.complete(12), Pattern.Clique(5), "K12, 5-clique"),
+                         (TestUtil.twoHubs(40), Pattern.Triangle, "two hubs, triangle"),
+                         (TestUtil.twoHubs(40), Pattern.Clique(4), "two hubs, 4-clique"))) {
+    test(s"batched peel equals the reference peel where one removal hits a vertex many times ($nm)") {
+      val inst = p.instances(g)
+      val ref  = TestUtil.referencePeel(g.n, inst)
+      assert(TestUtil.maxHits(ref.order, inst) > 1)
+      assert(TestUtil.peelFields(CliqueCore.decomposeInstances(g.n, inst)) == TestUtil.peelFields(ref))
+      assert(TestUtil.peelFields(CliqueCore.decompose(g, p)) == TestUtil.peelFields(ref))
+    }
+  }
+
   test("decomposeInstances rejects a negative vertex count") {
     val e = intercept[IllegalArgumentException](CliqueCore.decomposeInstances(-1, Array.empty))
     assert(e.getMessage.contains("-1"))
@@ -187,6 +202,13 @@ class CliqueCoreSpec extends AnyFunSuite {
     assert(e.getMessage.contains("vertex 3") && e.getMessage.contains("instance 1"))
   }
 
+  test("decomposeInstances counts an instance listed out of order as its sorted copy") {
+    val g    = TestUtil.randomGraph(14, 0.45, 2)
+    val inst = Pattern.Clique(4).instances(g)
+    assert(TestUtil.peelFields(CliqueCore.decomposeInstances(g.n, inst.map(_.reverse))) ==
+           TestUtil.peelFields(CliqueCore.decomposeInstances(g.n, inst)))
+  }
+
   private val storePatterns = Seq((Pattern.Edge, "edge"), (Pattern.Triangle, "triangle"),
                                   (Pattern.Clique(4), "4-clique"), (Pattern.Diamond, "diamond"),
                                   (Pattern.Star(2), "2-star"))
@@ -204,7 +226,7 @@ class CliqueCoreSpec extends AnyFunSuite {
       val g     = TestUtil.randomGraph(24, 0.45, seed)
       val inst  = p.instances(g)
       val parts = randomParts(g.n, seed)
-      val (mu, load) = CliqueCore.instancesOf(g, p).loads(g.n, parts)
+      val (mu, load) = CliqueCore.instancesOf(g, p).loads(parts)
       assert(mu.length == parts.length && load.length == parts.length)
       parts.indices.foreach { i =>
         val in     = parts(i).toSet
@@ -215,7 +237,7 @@ class CliqueCoreSpec extends AnyFunSuite {
       }
       assert(mu.sum > 0 && mu(1) == 0 && mu(3) == 0 && load(3) == 0)
       // one part holding every vertex: μ(G) and the largest Ψ-degree
-      val (all, maxDeg) = CliqueCore.instancesOf(g, p).loads(g.n, Vector(Array.range(0, g.n)))
+      val (all, maxDeg) = CliqueCore.instancesOf(g, p).loads(Vector(Array.range(0, g.n)))
       assert(all(0) == inst.length && maxDeg(0) == p.degrees(g).max)
     }
   }
@@ -226,24 +248,24 @@ class CliqueCoreSpec extends AnyFunSuite {
       val inst  = p.instances(g)
       val store = CliqueCore.instancesOf(g, p)
       val parts = randomParts(g.n, seed)
-      val flat  = CliqueCore.flatten(inst)
+      val flat  = CliqueCore.flatten(g.n, inst)
       def seqs(s: CliqueCore.Instances) = s.toArrays.toSeq.map(_.toSeq)
       parts.foreach { vs =>
         val pos   = Array.fill(g.n)(-1)
         vs.indices.foreach(i => pos(vs(i)) = i)
         val naive = inst.toSeq.filter(_.forall(pos(_) >= 0)).map(_.map(pos).sorted.toSeq)
-        assert(seqs(store.restrict(g.n, vs)) == naive)
-        assert(seqs(store.restrict(g.n, vs)) == seqs(flat.restrict(g.n, vs)))
+        assert(seqs(store.restrict(vs)) == naive)
+        assert(seqs(store.restrict(vs)) == seqs(flat.restrict(vs)))
       }
-      assert(store.partition(g.n, parts).map(seqs).toSeq == parts.map(vs => seqs(flat.restrict(g.n, vs))))
+      assert(store.partition(parts).map(seqs).toSeq == parts.map(vs => seqs(flat.restrict(vs))))
     }
   }
 
   test("loads rejects overlapping parts and vertices outside [0, n)") {
     val store = CliqueCore.instancesOf(TestUtil.complete(4), Pattern.Triangle)
-    val e1 = intercept[IllegalArgumentException](store.loads(4, Vector(Array(0, 1), Array(1, 2))))
+    val e1 = intercept[IllegalArgumentException](store.loads(Vector(Array(0, 1), Array(1, 2))))
     assert(e1.getMessage.contains("vertex 1"), e1.getMessage)
-    val e2 = intercept[IllegalArgumentException](store.loads(4, Vector(Array(4))))
+    val e2 = intercept[IllegalArgumentException](store.loads(Vector(Array(4))))
     assert(e2.getMessage.contains("4"), e2.getMessage)
   }
 
@@ -257,7 +279,7 @@ class CliqueCoreSpec extends AnyFunSuite {
     test(s"instancesOf equals the flat copy of instances, element for element (Ψ=${p.name})") {
       for (g <- Seq(TestUtil.randomGraph(14, 0.45, 3), TestUtil.path(3))) {
         val store = CliqueCore.instancesOf(g, p)
-        val flat  = CliqueCore.flatten(p.instances(g))
+        val flat  = CliqueCore.flatten(g.n, p.instances(g))
         assert(store.h == p.numVertices && store.count == flat.count)
         assert(store.data.sameElements(flat.data))
       }
@@ -276,6 +298,31 @@ class CliqueCoreSpec extends AnyFunSuite {
       val first = (0 until n).foldLeft(0)((b, i) => if (mu(i) * (n - b) > mu(b) * (n - i)) i else b)
       assert(mu(0) == dec.totalInstances && mu(0) > 0)
       assert(dec.bestSuffix == first)
+    }
+  }
+
+  /** Each vertex's instances in a store, counted from its data. */
+  private def recount(s: CliqueCore.Instances): Seq[Int] = {
+    val c = new Array[Int](s.n)
+    s.data.foreach(c(_) += 1)
+    c.toSeq
+  }
+
+  for (p <- everyPattern) {
+    test(s"every store records its vertex range and the degrees a recount gives (Ψ=${p.name})") {
+      for (g <- Seq(TestUtil.randomGraph(14, 0.45, 3), TestUtil.path(3))) {
+        val inst  = p.instances(g)
+        val naive = (0 until g.n).map(v => inst.count(_.contains(v)))
+        val parts = Vector(Array(0, 2), Array.range(3, g.n))
+        for ((s, what) <- Seq((CliqueCore.instancesOf(g, p), "listing"), (CliqueCore.flatten(g.n, inst), "flatten"))) {
+          assert(s.n == g.n && s.degrees.toSeq == naive && recount(s) == naive, what)
+          s.partition(parts).zip(parts).foreach { case (q, vs) =>
+            assert(q.n == vs.length && q.degrees.toSeq == recount(q), s"$what: partition")
+          }
+          val r = s.restrict(parts(1))
+          assert(r.n == parts(1).length && r.degrees.toSeq == recount(r), s"$what: restrict")
+        }
+      }
     }
   }
 }

@@ -16,7 +16,7 @@ class CoreExactSpec extends AnyFunSuite {
   for (seed <- 1 to 6; (p, nm) <- patterns) {
     test(s"CoreExact matches brute force (seed=$seed, Ψ=$nm)") {
       val g  = TestUtil.randomGraph(10, 0.45, seed)
-      val bf = Densest.bruteForce(g, p)
+      val bf = TestUtil.bruteForce(g, p)
       val r  = CoreExact.run(g, p)
       assert(math.abs(r.density - bf.density) < 1e-9,
         s"coreexact=${r.density} brute=${bf.density}")
@@ -167,7 +167,7 @@ class CoreExactSpec extends AnyFunSuite {
         val b  = TestUtil.randomGraph(7, 0.55, seed + 100)
         val g  = LocalGraph.fromEdges(a.edgesExternal ++ b.edgesExternal.map { case (u, v) => (u + 7, v + 7) },
                                       0L until 14L)
-        val bf = Densest.bruteForce(g, p)
+        val bf = TestUtil.bruteForce(g, p)
         val ex = Exact.run(g, p)
         val (r, st) = CoreExact.runWithStats(g, p)
         assert(math.abs(r.density - bf.density) < 1e-9 && math.abs(ex.density - bf.density) < 1e-9,
@@ -268,6 +268,21 @@ class CoreExactSpec extends AnyFunSuite {
       assert(ce.vertices.sorted.sameElements(ex.vertices.sorted))
       assert(ce.externalIds(g).forall(_ >= 2000L), "the CDS lies in the component searched last")
       assert(st.probes > 3, "ρ'' < ρ_opt: the search runs")
+    }
+  }
+
+  // The peel on the hub-haloed planted unions: each removal of a clique
+  // vertex hits the other clique vertices once per instance they share.
+  for ((kind, sats, junk) <- Seq(
+         ("later components pre-filtered", Seq.fill(14)(12), Seq(15, 15) ++ (4 to 14)),
+         ("network shrinks", (15 to 6 by -1).flatMap(Seq.fill(6)(_)), Seq(17, 17)));
+       (p, nm) <- unionPatterns.slice(1, 3)) {
+    test(s"batched peel equals the reference peel on a hub-haloed planted union: $kind (Ψ=$nm, seed=1)") {
+      val g    = plantedUnion(1, sats, junk, lastHubs = true)
+      val inst = p.instances(g)
+      val ref  = TestUtil.referencePeel(g.n, inst)
+      assert(TestUtil.maxHits(ref.order, inst) > 1)
+      assert(TestUtil.peelFields(CliqueCore.decompose(g, p)) == TestUtil.peelFields(ref))
     }
   }
 

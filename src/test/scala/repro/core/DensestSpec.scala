@@ -32,12 +32,12 @@ class DensestSpec extends AnyFunSuite {
       val pos0 = Array.fill(g.n)(-1)
       parts(0).indices.foreach(i => pos0(parts(0)(i)) = i)
       assert(inst.exists { a => a.forall(pos0(_) >= 0) && { val r = a.map(pos0); !r.sameElements(r.sorted) } })
-      val store = CliqueCore.flatten(inst)
-      val got   = store.partition(g.n, parts)
+      val store = CliqueCore.flatten(g.n, inst)
+      val got   = store.partition(parts)
       assert(got.length == parts.length)
       parts.indices.foreach { i =>
         assert(seqs(got(i)) == naiveRestrict(inst, g.n, parts(i)), s"part $i")
-        assert(seqs(got(i)) == seqs(store.restrict(g.n, parts(i))), s"part $i vs restrict")
+        assert(seqs(got(i)) == seqs(store.restrict(parts(i))), s"part $i vs restrict")
       }
       // every instance inside one part lands in that part, and nowhere else
       assert(got.map(_.count).sum == parts.map(naiveRestrict(inst, g.n, _).size).sum)
@@ -47,25 +47,25 @@ class DensestSpec extends AnyFunSuite {
   test("partition of one part holding every vertex in order returns each instance sorted") {
     val g    = TestUtil.randomGraph(20, 0.5, 3)
     val inst = Pattern.Diamond.instances(g)
-    val got  = CliqueCore.flatten(inst).partition(g.n, Vector((0 until g.n).toArray))(0)
+    val got  = CliqueCore.flatten(g.n, inst).partition(Vector((0 until g.n).toArray))(0)
     assert(seqs(got) == inst.toSeq.map(_.sorted.toSeq))
   }
 
   test("partition rejects overlapping parts and vertices outside [0, n)") {
-    val store = CliqueCore.flatten(Array(Array(0, 1)))
-    val e1 = intercept[IllegalArgumentException](store.partition(4, Vector(Array(0, 1), Array(2, 1))))
+    val store = CliqueCore.flatten(4, Array(Array(0, 1)))
+    val e1 = intercept[IllegalArgumentException](store.partition(Vector(Array(0, 1), Array(2, 1))))
     assert(e1.getMessage.contains("vertex 1"), e1.getMessage)
-    val e2 = intercept[IllegalArgumentException](store.partition(4, Vector(Array(0, 4))))
+    val e2 = intercept[IllegalArgumentException](store.partition(Vector(Array(0, 4))))
     assert(e2.getMessage.contains("4"), e2.getMessage)
-    val e3 = intercept[IllegalArgumentException](store.restrict(4, Array(-1)))
+    val e3 = intercept[IllegalArgumentException](store.restrict(Array(-1)))
     assert(e3.getMessage.contains("-1"), e3.getMessage)
   }
 
   test("partition with no parts, or empty parts, keeps no instance") {
     val g    = TestUtil.complete(5)
-    val store = CliqueCore.flatten(Pattern.Triangle.instances(g))
-    assert(store.partition(g.n, Vector()).isEmpty)
-    assert(store.partition(g.n, Vector(Array.emptyIntArray, Array(0, 1)))(0).count == 0)
+    val store = CliqueCore.flatten(g.n, Pattern.Triangle.instances(g))
+    assert(store.partition(Vector()).isEmpty)
+    assert(store.partition(Vector(Array.emptyIntArray, Array(0, 1)))(0).count == 0)
   }
 
   test("countWithin counts the instances inside a vertex set") {
@@ -87,7 +87,7 @@ class DensestSpec extends AnyFunSuite {
       built += ((nv, seqs(local)))
       new repro.flow.DensestFlow.Network(nv, repro.flow.DensestFlow.ungrouped(local.toArrays), 2)
     }, Subgraph(Array.emptyIntArray, 0L))
-    search.on(vs, CliqueCore.flatten(inst).restrict(g.n, vs))
+    search.on(vs, CliqueCore.flatten(g.n, inst).restrict(vs))
     var shrunk = false
     search.climb(0.0, (_, cur) =>
       if (shrunk) cur.indices.toArray

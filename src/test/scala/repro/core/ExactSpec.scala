@@ -51,7 +51,7 @@ class ExactSpec extends AnyFunSuite {
   for (seed <- 1 to 6; (p, nm) <- patterns) {
     test(s"Exact matches brute force on random graph (seed=$seed, Ψ=$nm)") {
       val g  = TestUtil.randomGraph(10, 0.45, seed)
-      val bf = Densest.bruteForce(g, p)
+      val bf = TestUtil.bruteForce(g, p)
       val r  = Exact.run(g, p)
       assert(math.abs(r.density - bf.density) < 1e-9,
         s"exact=${r.density} brute=${bf.density}")

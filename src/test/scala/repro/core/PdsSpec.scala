@@ -46,7 +46,7 @@ class PdsSpec extends AnyFunSuite {
   test("PDS with TwoTriangle pattern matches brute force on randoms") {
     for (seed <- 20 to 23) {
       val g  = TestUtil.randomGraph(9, 0.55, seed)
-      val bf = Densest.bruteForce(g, Pattern.TwoTriangle)
+      val bf = TestUtil.bruteForce(g, Pattern.TwoTriangle)
       val r  = CoreExact.run(g, Pattern.TwoTriangle)
       assert(math.abs(r.density - bf.density) < 1e-9, s"seed=$seed")
     }
@@ -55,7 +55,7 @@ class PdsSpec extends AnyFunSuite {
   test("PDS with TailedTriangle matches brute force") {
     for (seed <- 30 to 32) {
       val g  = TestUtil.randomGraph(9, 0.5, seed)
-      val bf = Densest.bruteForce(g, Pattern.TailedTriangle)
+      val bf = TestUtil.bruteForce(g, Pattern.TailedTriangle)
       val r  = CoreExact.run(g, Pattern.TailedTriangle)
       assert(math.abs(r.density - bf.density) < 1e-9, s"seed=$seed")
     }
@@ -64,7 +64,7 @@ class PdsSpec extends AnyFunSuite {
   test("c3-star PDS matches brute force") {
     for (seed <- 40 to 42) {
       val g  = TestUtil.randomGraph(9, 0.5, seed)
-      val bf = Densest.bruteForce(g, Pattern.Star(3))
+      val bf = TestUtil.bruteForce(g, Pattern.Star(3))
       val r  = CoreExact.run(g, Pattern.Star(3))
       assert(math.abs(r.density - bf.density) < 1e-9, s"seed=$seed")
     }
@@ -90,7 +90,7 @@ class PdsSpec extends AnyFunSuite {
     for (seed <- 50 to 53; p <- Seq(Pattern.Diamond, Pattern.Star(3), Pattern.TwoTriangle)) {
       val g = TestUtil.randomGraph(10, 0.5, seed)
       if (p.count(g) > 0) {
-        val opt = Densest.bruteForce(g, p).density
+        val opt = TestUtil.bruteForce(g, p).density
         val r   = PeelApp.run(g, p)
         assert(r.density + 1e-9 >= opt / p.numVertices, s"seed=$seed p=$p")
       }

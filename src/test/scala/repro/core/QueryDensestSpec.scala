@@ -22,7 +22,7 @@ class QueryDensestSpec extends AnyFunSuite {
     val g = LocalGraph.fromEdges(
       Seq((0L, 1L), (0L, 2L), (0L, 3L), (1L, 2L), (1L, 3L), (2L, 3L), (3L, 4L)))
     val r  = QueryDensest.run(g, Pattern.Edge, Set(4))
-    val bf = QueryDensest.bruteForce(g, Pattern.Edge, Set(4))
+    val bf = TestUtil.bruteForce(g, Pattern.Edge, Set(4))
     assert(math.abs(r.density - bf.density) < 1e-9)
     assert(r.vertices.contains(4))
     assert(r.density < 1.5) // constrained optimum is worse than the EDS
@@ -33,7 +33,7 @@ class QueryDensestSpec extends AnyFunSuite {
       val g   = TestUtil.randomGraph(10, 0.4, seed)
       val q   = Set(seed % g.n, (3 * seed + 1) % g.n)
       val r   = QueryDensest.run(g, p, q)
-      val bf  = QueryDensest.bruteForce(g, p, q)
+      val bf  = TestUtil.bruteForce(g, p, q)
       assert(math.abs(r.density - bf.density) < 1e-9,
         s"got ${r.density}, brute ${bf.density}")
       assert(q.subsetOf(r.vertices.toSet))
@@ -58,7 +58,7 @@ class QueryDensestSpec extends AnyFunSuite {
       Seq((10L, 11L), (11L, 12L), (10L, 12L)))
     val local12 = g.ids.indexOf(12L)
     val r  = QueryDensest.run(g, Pattern.Edge, Set(0, local12))
-    val bf = QueryDensest.bruteForce(g, Pattern.Edge, Set(0, local12))
+    val bf = TestUtil.bruteForce(g, Pattern.Edge, Set(0, local12))
     assert(math.abs(r.density - bf.density) < 1e-9)
   }
 
@@ -86,7 +86,7 @@ class QueryDensestSpec extends AnyFunSuite {
       (for (i <- 0 until 5; j <- (i + 1) until 5) yield (i.toLong, j.toLong)) ++
       (0 until 12).map(i => (10L + i, 10L + (i + 1) % 12)))
     val r  = QueryDensest.run(g, Pattern.Edge, Set(0))
-    val bf = QueryDensest.bruteForce(g, Pattern.Edge, Set(0))
+    val bf = TestUtil.bruteForce(g, Pattern.Edge, Set(0))
     assert(g.n == 17)
     assert(r.vertices.sorted.sameElements(bf.vertices) && r.instances == bf.instances && r.density == bf.density)
     assert(r.vertices.sorted.sameElements(0 until 5) && r.density == 2.0)
@@ -111,7 +111,7 @@ class QueryDensestSpec extends AnyFunSuite {
       val r    = QueryDensest.run(g, p, q)
       val ref  = Densest.subgraphOf(p.instances(g), g.n, r.vertices)
       assert(r.instances == ref.instances && r.density == ref.density)
-      assert(math.abs(r.density - QueryDensest.bruteForce(g, p, q).density) < 1e-9)
+      assert(math.abs(r.density - TestUtil.bruteForce(g, p, q).density) < 1e-9)
       assert(q.subsetOf(r.vertices.toSet))
     }
   }
