@@ -34,18 +34,17 @@ object CliqueEnum {
       return
     }
     if (n == 0) return
-    if (g.m > Int.MaxValue) throw new IllegalArgumentException(s"${g.m} edges do not fit one array")
     val rank = KCore.decompose(g).rank
-    // out-neighbours (higher rank) of v: out(off(v) until off(v + 1)), by id
+    // out-neighbours (higher rank) of v, filtered from the graph's slice:
+    // out(off(v) until off(v + 1)), by id
     val off    = new Array[Int](n + 1)
     val out    = new Array[Int](g.m.toInt)
     var maxOut = 0
     var v      = 0
     while (v < n) {
-      val adj = g.adj(v)
-      var e   = off(v)
-      var i   = 0
-      while (i < adj.length) { if (rank(adj(i)) > rank(v)) { out(e) = adj(i); e += 1 }; i += 1 }
+      var e = off(v)
+      var i = g.off(v)
+      while (i < g.off(v + 1)) { val w = g.nbr(i); if (rank(w) > rank(v)) { out(e) = w; e += 1 }; i += 1 }
       off(v + 1) = e
       maxOut = math.max(maxOut, e - off(v))
       v += 1

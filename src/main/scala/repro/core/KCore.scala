@@ -50,10 +50,9 @@ object KCore {
     var i = 0
     while (i < n) {
       val u = vert(i)
-      val a = g.adj(u)
-      var j = 0
-      while (j < a.length) {
-        val w = a(j)
+      var j = g.off(u)
+      while (j < g.off(u + 1)) {
+        val w = g.nbr(j)
         if (core(w) > core(u)) {
           // swap w to the front of its bin, shrink its degree by one
           val dw = core(w); val pw = pos(w)

@@ -15,11 +15,12 @@ object Harness {
     (r, (System.nanoTime() - t0) / 1e9)
   }
 
-  /** Call `f` once to warm up, then time it `reps` times; returns (the
-    * warm-up's result, the fastest time in seconds).
+  /** Call `f` `reps` times to warm up, then time it `reps` times; returns
+    * (the first call's result, the fastest time in seconds).
     */
   def warmBest[T](reps: Int)(f: => T): (T, Double) = {
     val r = f
+    (2 to reps).foreach(_ => f)
     (r, (1 to reps).map(_ => time(f)._2).min)
   }
 

@@ -1,50 +1,45 @@
 package repro.graph
 
-import scala.collection.mutable
-
-/** Immutable undirected simple graph in CSR-like form.
+/** Immutable undirected simple graph in CSR form.
   *
   * Vertices are dense local ids `0 until n`; `ids(v)` maps back to the
-  * original (external) vertex id. Adjacency lists are sorted, self-loops
-  * and parallel edges removed at construction. This is the driver-side
-  * substrate for the paper's peeling / flow algorithms; distributed code
-  * works on edge DataFrames (see [[repro.dist.GraphDF]]) and converts at
-  * the boundary.
+  * original (external) vertex id, and `ids` ascends. The neighbours of `v`
+  * are the slice `nbr(off(v) until off(v + 1))`, sorted, with no self-loops
+  * and no duplicates; every edge appears in the slices of both endpoints,
+  * so `off(n) = 2m`. This is the single-machine substrate for the paper's
+  * peeling / flow algorithms; distributed code works on edge DataFrames (see
+  * [[repro.dist.GraphDF]]) and converts at the boundary.
   *
-  * @param ids external id per local vertex id
-  * @param adj sorted neighbor arrays per local vertex id
+  * @param ids external id per local vertex id, ascending
+  * @param off slice bounds, `n + 1` entries starting at 0
+  * @param nbr every vertex's sorted neighbour slice, packed in vertex order
   */
-final class LocalGraph(val ids: Array[Long], val adj: Array[Array[Int]]) extends Serializable {
+final class LocalGraph(val ids: Array[Long], val off: Array[Int], val nbr: Array[Int]) extends Serializable {
 
   /** Number of vertices. */
   def n: Int = ids.length
 
   /** Number of undirected edges. */
-  val m: Long = {
-    var twice = 0L
-    var v     = 0
-    while (v < adj.length) { twice += adj(v).length; v += 1 }
-    twice / 2
-  }
+  def m: Long = off(n) / 2
 
   /** Degree of local vertex `v`. */
-  def degree(v: Int): Int = adj(v).length
+  def degree(v: Int): Int = off(v + 1) - off(v)
 
   /** Maximum degree (0 for the empty graph). */
   def maxDegree: Int = {
     var max = 0
     var v   = 0
-    while (v < n) { max = math.max(max, adj(v).length); v += 1 }
+    while (v < n) { max = math.max(max, degree(v)); v += 1 }
     max
   }
 
-  /** Edge test via binary search over the sorted adjacency of `u`. */
+  /** Edge test via binary search over the sorted slice of `u`. */
   def hasEdge(u: Int, v: Int): Boolean =
-    u != v && java.util.Arrays.binarySearch(adj(u), v) >= 0
+    u != v && java.util.Arrays.binarySearch(nbr, off(u), off(u + 1), v) >= 0
 
   /** All undirected edges as (u, v) with u < v, in local ids. */
   def edges: Iterator[(Int, Int)] =
-    (0 until n).iterator.flatMap(u => adj(u).iterator.filter(_ > u).map(v => (u, v)))
+    (0 until n).iterator.flatMap(u => (off(u) until off(u + 1)).iterator.map(nbr).filter(_ > u).map(v => (u, v)))
 
   /** Edge list in external ids (u < v by local id order). */
   def edgesExternal: Seq[(Long, Long)] =
@@ -63,22 +58,30 @@ final class LocalGraph(val ids: Array[Long], val adj: Array[Array[Int]]) extends
     * map core vertices back without hash lookups.
     */
   def inducedWithMap(keep: Iterable[Int]): (LocalGraph, Array[Int]) = {
-    val keepArr = keep.toArray.distinct.sorted
-    val newId   = Array.fill(n)(-1)
-    var i = 0
-    while (i < keepArr.length) { newId(keepArr(i)) = i; i += 1 }
-    val newAdj = keepArr.map { v =>
-      val a   = adj(v)
-      val buf = new mutable.ArrayBuilder.ofInt
-      var j = 0
-      while (j < a.length) {
-        val w = newId(a(j))
-        if (w >= 0) buf.addOne(w)
-        j += 1
+    val newId = Array.fill(n)(-1)
+    keep.foreach(newId(_) = 0)
+    // kept vertices in id order get consecutive new ids; `room` bounds the slices
+    var k    = 0
+    var room = 0
+    var v    = 0
+    while (v < n) { if (newId(v) == 0) { newId(v) = k; k += 1; room += degree(v) }; v += 1 }
+    val old  = new Array[Int](k)
+    val sOff = new Array[Int](k + 1)
+    val sNbr = new Array[Int](room)
+    var e = 0
+    v = 0
+    while (v < n) {
+      val i = newId(v)
+      if (i >= 0) {
+        old(i) = v
+        var j = off(v)
+        // the slice is sorted and newId is monotone, so this stays sorted
+        while (j < off(v + 1)) { val w = newId(nbr(j)); if (w >= 0) { sNbr(e) = w; e += 1 }; j += 1 }
+        sOff(i + 1) = e
       }
-      buf.result() // adj is sorted and newId is monotone, so this stays sorted
+      v += 1
     }
-    (new LocalGraph(keepArr.map(ids), newAdj), keepArr)
+    (new LocalGraph(old.map(ids), sOff, java.util.Arrays.copyOf(sNbr, e)), old)
   }
 
   /** Connected components of the subgraph induced by `subset`, each a
@@ -88,25 +91,34 @@ final class LocalGraph(val ids: Array[Long], val adj: Array[Array[Int]]) extends
     val inSet = new Array[Boolean](n)
     subset.foreach(inSet(_) = true)
     val seen = new Array[Boolean](n)
-    val out  = mutable.ArrayBuffer.empty[Array[Int]]
-    subset.foreach { s =>
-      if (!seen(s)) {
-        val comp  = new mutable.ArrayBuilder.ofInt
-        val stack = new mutable.ArrayDeque[Int]()
-        seen(s) = true; stack.append(s)
-        while (stack.nonEmpty) {
-          val v = stack.removeLast()
-          comp.addOne(v)
-          adj(v).foreach { w =>
-            if (inSet(w) && !seen(w)) { seen(w) = true; stack.append(w) }
+    // each vertex is queued once; a component is the queue span it filled
+    val queue = new Array[Int](subset.length)
+    var tail  = 0
+    val out   = IndexedSeq.newBuilder[Array[Int]]
+    var s = 0
+    while (s < subset.length) {
+      val root = subset(s)
+      if (!seen(root)) {
+        val start = tail
+        var head  = tail
+        seen(root) = true; queue(tail) = root; tail += 1
+        while (head < tail) {
+          val v = queue(head)
+          head += 1
+          var j = off(v)
+          while (j < off(v + 1)) {
+            val w = nbr(j)
+            if (inSet(w) && !seen(w)) { seen(w) = true; queue(tail) = w; tail += 1 }
+            j += 1
           }
         }
-        val c = comp.result()
+        val c = java.util.Arrays.copyOfRange(queue, start, tail)
         java.util.Arrays.sort(c)
         out += c
       }
+      s += 1
     }
-    out.toIndexedSeq
+    out.result()
   }
 
   override def toString: String = s"LocalGraph(n=$n, m=$m)"
@@ -114,71 +126,134 @@ final class LocalGraph(val ids: Array[Long], val adj: Array[Array[Int]]) extends
 
 object LocalGraph {
 
+  /** The most endpoints one `Int`-indexed array holds, kept even. */
+  private val MaxEnds = (Int.MaxValue - 8) & ~1
+
   /** Build from an undirected edge list over arbitrary Long ids.
     *
     * Self-loops are dropped; duplicate/reversed edges collapse. Vertices
     * with no surviving edge only appear if listed in `extraVertices`.
     *
-    * Sort-based, on primitive arrays: the sorted distinct endpoints become
-    * `ids`, each edge becomes the key (u << 32 | v) over local ids u < v,
-    * and the sorted distinct keys fill every adjacency list in id order.
+    * An open-addressing hash gives each distinct endpoint an index as the
+    * edges stream in; only those n ids are sorted, and each endpoint is
+    * renamed to its id's rank. Two counting sorts then place both
+    * directions of every edge: the first in input order, the second by
+    * reading the first's slices in vertex order, so every slice fills in
+    * increasing order and a repeated edge arrives right after itself, where
+    * it is dropped. (Against sorting each slice after the first pass, or an
+    * LSD radix sort of packed (u, v) keys, the second counting sort was the
+    * fastest on the benchmark's stand-ins.)
+    *
+    * @throws IllegalArgumentException when the two endpoints of every
+    *         non-loop input edge would not fit one array, or when there are
+    *         more than 2^29 distinct ids
     */
   def fromEdges(edgeList: IterableOnce[(Long, Long)],
                 extraVertices: IterableOnce[Long] = Nil): LocalGraph = {
-    // endpoints of the non-loop edges, two per edge
-    var ends = new Array[Long](64)
+    val index = new IdIndex
+    // the endpoints of the non-loop edges, two per edge, as first-seen indices
+    var ends = new Array[Int](64)
     var k    = 0
-    edgeList.iterator.foreach { case (a, b) =>
+    val it   = edgeList.iterator
+    while (it.hasNext) {
+      val e = it.next(); val a = e._1; val b = e._2
       if (a != b) {
-        if (k + 2 > ends.length) ends = java.util.Arrays.copyOf(ends, 2 * ends.length)
-        ends(k) = a; ends(k + 1) = b; k += 2
+        if (k == ends.length) {
+          require(k < MaxEnds, s"more than ${MaxEnds / 2} edges: their endpoints do not fit one array")
+          ends = java.util.Arrays.copyOf(ends, math.min(2L * k, MaxEnds.toLong).toInt)
+        }
+        ends(k) = index(a); ends(k + 1) = index(b); k += 2
       }
     }
-    val extra = extraVertices.iterator.toArray
-    val all   = java.util.Arrays.copyOf(ends, k + extra.length)
-    System.arraycopy(extra, 0, all, k, extra.length)
-    java.util.Arrays.sort(all)
-    val ids = java.util.Arrays.copyOf(all, dedupe(all))
-    val n   = ids.length
+    extraVertices.iterator.foreach(index(_))
+    val n   = index.size
+    val ids = java.util.Arrays.copyOf(index.ids, n)
+    java.util.Arrays.sort(ids)
+    val rank = new Array[Int](n)
+    var v    = 0
+    while (v < n) { rank(index(ids(v))) = v; v += 1 }
+    var i = 0
+    while (i < k) { ends(i) = rank(ends(i)); i += 1 }
 
-    val keys = new Array[Long](k / 2)
-    var i    = 0
-    while (i < keys.length) {
-      val u = java.util.Arrays.binarySearch(ids, ends(2 * i))
-      val v = java.util.Arrays.binarySearch(ids, ends(2 * i + 1))
-      keys(i) = if (u < v) (u.toLong << 32) | v else (v.toLong << 32) | u
-      i += 1
-    }
-    java.util.Arrays.sort(keys)
-    val m   = dedupe(keys)
-    val deg = new Array[Int](n)
+    // both directions count towards each endpoint's slice
+    val off = new Array[Int](n + 1)
     i = 0
-    while (i < m) { deg((keys(i) >>> 32).toInt) += 1; deg(keys(i).toInt) += 1; i += 1 }
-    val adj = Array.tabulate(n)(v => new Array[Int](deg(v)))
-    java.util.Arrays.fill(deg, 0)
-    // keys ascend, so w's neighbours below w arrive before those above it,
-    // each group in increasing order: every list fills sorted
+    while (i < k) { off(ends(i) + 1) += 1; i += 1 }
+    v = 0
+    while (v < n) { off(v + 1) += off(v); v += 1 }
+    // first pass: each endpoint into the other's slice, in input order
+    val pos   = java.util.Arrays.copyOf(off, n)
+    val first = new Array[Int](k)
     i = 0
-    while (i < m) {
-      val u = (keys(i) >>> 32).toInt
-      val v = keys(i).toInt
-      adj(u)(deg(u)) = v; deg(u) += 1
-      adj(v)(deg(v)) = u; deg(v) += 1
-      i += 1
+    while (i < k) {
+      val a = ends(i); val b = ends(i + 1)
+      first(pos(a)) = b; pos(a) += 1
+      first(pos(b)) = a; pos(b) += 1
+      i += 2
     }
-    new LocalGraph(ids, adj)
+    // second pass: v into the slice of every u in v's first slice, for v in
+    // increasing order, so every slice fills sorted and repeats arrive in a row
+    val nbr = ends
+    System.arraycopy(off, 0, pos, 0, n)
+    v = 0
+    while (v < n) {
+      var j = off(v)
+      while (j < off(v + 1)) {
+        val u = first(j)
+        if (pos(u) == off(u) || nbr(pos(u) - 1) != v) { nbr(pos(u)) = v; pos(u) += 1 }
+        j += 1
+      }
+      v += 1
+    }
+    // close the gaps the repeats left
+    var w = 0
+    v = 0
+    while (v < n) {
+      val d = pos(v) - off(v)
+      System.arraycopy(nbr, off(v), nbr, w, d)
+      off(v) = w; w += d; v += 1
+    }
+    off(n) = w
+    new LocalGraph(ids, off, if (w == nbr.length) nbr else java.util.Arrays.copyOf(nbr, w))
   }
 
-  /** Moves the distinct values of the sorted array `a` to its front and
-    * returns their number.
+  /** Open-addressing (linear probing) hash from external id to the order in
+    * which it was first seen; `ids(0 until size)` lists them in that order.
     */
-  private def dedupe(a: Array[Long]): Int = {
-    var d = 0
-    var i = 0
-    while (i < a.length) {
-      if (d == 0 || a(i) != a(d - 1)) { a(d) = a(i); d += 1 }
-      i += 1
+  private final class IdIndex {
+    private var shift = 64 - 4
+    private var keys  = new Array[Long](1 << 4)
+    private var slot  = new Array[Int](1 << 4) // 1 + the index of keys(i); 0 when empty
+    var ids  = new Array[Long](8)
+    var size = 0
+
+    private def home(x: Long): Int = (((x ^ (x >>> 32)) * 0x9E3779B97F4A7C15L) >>> shift).toInt
+
+    /** The index of `x`, given the next one if `x` is new. */
+    def apply(x: Long): Int = {
+      val mask = keys.length - 1
+      var i    = home(x)
+      while (slot(i) != 0) { if (keys(i) == x) return slot(i) - 1; i = (i + 1) & mask }
+      if (size == ids.length) ids = java.util.Arrays.copyOf(ids, 2 * size)
+      ids(size) = x; keys(i) = x; slot(i) = size + 1; size += 1
+      if (2 * size > keys.length) grow()
+      size - 1
     }
-    d
+
+    /** Doubles the table, keeping its load at most one half. */
+    private def grow(): Unit = {
+      require(keys.length < (1 << 30), s"more than ${1 << 29} distinct vertex ids")
+      shift -= 1
+      keys = new Array[Long](2 * keys.length)
+      slot = new Array[Int](keys.length)
+      val mask = keys.length - 1
+      var j    = 0
+      while (j < size) {
+        var i = home(ids(j))
+        while (slot(i) != 0) i = (i + 1) & mask
+        keys(i) = ids(j); slot(i) = j + 1
+        j += 1
+      }
+    }
   }
 }

@@ -69,7 +69,8 @@ object Pattern {
     def forEach(g: LocalGraph)(f: Array[Int] => Unit): Unit = {
       val pick = new Array[Int](tails)
       val emit = new Array[Int](tails + 1)
-      def combos(nbrs: Array[Int], start: Int, depth: Int, center: Int): Unit = {
+      // tails from the center's slice, at positions start until end
+      def combos(start: Int, end: Int, depth: Int, center: Int): Unit = {
         if (depth == tails) {
           emit(0) = center
           System.arraycopy(pick, 0, emit, 1, tails)
@@ -77,15 +78,15 @@ object Pattern {
           f(emit)
         } else {
           var i = start
-          while (i <= nbrs.length - (tails - depth)) {
-            pick(depth) = nbrs(i)
-            combos(nbrs, i + 1, depth + 1, center)
+          while (i <= end - (tails - depth)) {
+            pick(depth) = g.nbr(i)
+            combos(i + 1, end, depth + 1, center)
             i += 1
           }
         }
       }
       var c = 0
-      while (c < g.n) { combos(g.adj(c), 0, 0, c); c += 1 }
+      while (c < g.n) { combos(g.off(c), g.off(c + 1), 0, c); c += 1 }
     }
 
     /** Closed-form star degree (Appendix D.1, Eq. 25) of v over edge-degrees
@@ -94,10 +95,10 @@ object Pattern {
       */
     def degree(g: LocalGraph, d: Array[Int], live: Int => Boolean, v: Int): Long = {
       var t = Combinatorics.choose(d(v), tails)
-      val a = g.adj(v)
-      var i = 0
-      while (i < a.length) {
-        if (live(a(i))) t = Combinatorics.satAdd(t, Combinatorics.choose(d(a(i)) - 1, tails - 1))
+      var i = g.off(v)
+      while (i < g.off(v + 1)) {
+        val u = g.nbr(i)
+        if (live(u)) t = Combinatorics.satAdd(t, Combinatorics.choose(d(u) - 1, tails - 1))
         i += 1
       }
       t
@@ -134,12 +135,12 @@ object Pattern {
         var i = 0
         while (i < w.size) { val v = w.ends(i); at(v) = total; total += w.common(v); i += 1 }
         if (mids.length < total) mids = new Array[Int](math.max(total, mids.length * 2))
-        val nu = g.adj(u)
-        i = nu.length - 1
-        while (i >= 0 && nu(i) > u) {
-          val na = g.adj(nu(i))
-          var j = na.length - 1
-          while (j >= 0 && na(j) > u) { mids(at(na(j))) = nu(i); at(na(j)) += 1; j -= 1 }
+        val nbr = g.nbr
+        i = g.off(u + 1) - 1
+        while (i >= g.off(u) && nbr(i) > u) {
+          val a = nbr(i)
+          var j = g.off(a + 1) - 1
+          while (j >= g.off(a) && nbr(j) > u) { mids(at(nbr(j))) = a; at(nbr(j)) += 1; j -= 1 }
           i -= 1
         }
         i = 0
@@ -178,7 +179,7 @@ object Pattern {
       // the 5-edge set determines (u, v) (its two degree-3 endpoints), so
       // each instance is produced exactly once.
       for ((u, v) <- g.edges) {
-        val cs = g.adj(u).filter(w => w != v && g.hasEdge(v, w))
+        val cs = slice(g, u).filter(w => w != v && g.hasEdge(v, w))
         var x = 0
         while (x < cs.length) {
           var y = x + 1
@@ -195,8 +196,8 @@ object Pattern {
       val emit = new Array[Int](4)
       // middle edge (b, c) with b < c; a attaches to b, d attaches to c.
       for ((b, c) <- g.edges) {
-        val as = g.adj(b).filter(_ != c)
-        val ds = g.adj(c).filter(_ != b)
+        val as = slice(g, b).filter(_ != c)
+        val ds = slice(g, c).filter(_ != b)
         var i = 0
         while (i < as.length) {
           var j = 0
@@ -218,10 +219,9 @@ object Pattern {
         var i = 0
         while (i < 3) {
           val c = t(i)
-          val a = g.adj(c)
-          var j = 0
-          while (j < a.length) {
-            val d = a(j)
+          var j = g.off(c)
+          while (j < g.off(c + 1)) {
+            val d = g.nbr(j)
             if (d != t(0) && d != t(1) && d != t(2)) emitSorted(emit, t(0), t(1), t(2), d, f)
             j += 1
           }
@@ -272,7 +272,7 @@ object Pattern {
         val pv = visitOrder(i)
         val anchors = pAdj(pv).filter(map(_) >= 0)
         val candidates: Iterable[Int] =
-          if (anchors.isEmpty) 0 until g.n else g.adj(map(anchors.head)).toSeq
+          if (anchors.isEmpty) 0 until g.n else slice(g, map(anchors.head)).toSeq
         for (gv <- candidates if !used(gv)) {
           if (anchors.forall(a => g.hasEdge(map(a), gv))) {
             map(pv) = gv; used += gv
@@ -285,6 +285,9 @@ object Pattern {
       found.values.foreach(f)
     }
   }
+
+  /** A copy of the neighbour slice of `v`, for the cold reference listings. */
+  private def slice(g: LocalGraph, v: Int): Array[Int] = java.util.Arrays.copyOfRange(g.nbr, g.off(v), g.off(v + 1))
 
   /** Emit the instance {a, b, c, d} to `f` in `buf`, sorted. */
   private def emitSorted(buf: Array[Int], a: Int, b: Int, c: Int, d: Int, f: Array[Int] => Unit): Unit = {

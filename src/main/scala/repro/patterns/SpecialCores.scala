@@ -24,6 +24,7 @@ object SpecialCores {
   def decomposeStar(g: LocalGraph, x: Int): CliqueCore.Result = {
     require(x >= 2, s"x-star needs x >= 2, got $x")
     val n     = g.n
+    val nbr   = g.nbr
     val alive = Array.fill(n)(true)
     val d     = Array.tabulate(n)(g.degree) // residual edge-degree
     val loss  = new Array[Long](n)          // what each vertex loses with the current removal
@@ -46,17 +47,15 @@ object SpecialCores {
         // centered on v with tail u; w ∈ N(u)∖{v} those centered on u with
         // tails v and w (d_u is read before it falls)
         val asTail = choose(d(v) - 1, x - 1)
-        val nv     = g.adj(v)
-        var i      = 0
-        while (i < nv.length) {
-          val u = nv(i)
+        var i      = g.off(v)
+        while (i < g.off(v + 1)) {
+          val u = nbr(i)
           if (alive(u)) {
             lose(u, satAdd(choose(d(u) - 1, x - 1), asTail))
             val both = choose(d(u) - 2, x - 2)
             if (both > 0) {
-              val nu = g.adj(u)
-              var j  = 0
-              while (j < nu.length) { if (nu(j) != v && alive(nu(j))) lose(nu(j), both); j += 1 }
+              var j = g.off(u)
+              while (j < g.off(u + 1)) { if (nbr(j) != v && alive(nbr(j))) lose(nbr(j), both); j += 1 }
             }
             d(u) -= 1
           }
@@ -77,6 +76,7 @@ object SpecialCores {
 
   /** (k, diamond)-core decomposition (diamond = C4, Appendix D.2). */
   def decomposeDiamond(g: LocalGraph): CliqueCore.Result = {
+    val nbr   = g.nbr
     val alive = Array.fill(g.n)(true)
     val w     = new Wedges(g)
     val pdeg  = Pattern.Diamond.degrees(g)
@@ -92,15 +92,13 @@ object SpecialCores {
           if (c > 1) lower(w.ends(i), c * (c - 1) / 2)
           i += 1
         }
-        val nv = g.adj(v)
-        i = 0
-        while (i < nv.length) {
-          val a = nv(i)
+        i = g.off(v)
+        while (i < g.off(v + 1)) {
+          val a = nbr(i)
           if (alive(a)) {
-            val na = g.adj(a)
-            var t  = 0L
-            var j  = 0
-            while (j < na.length) { if (na(j) != v && alive(na(j))) t += w.common(na(j)) - 1; j += 1 }
+            var t = 0L
+            var j = g.off(a)
+            while (j < g.off(a + 1)) { if (nbr(j) != v && alive(nbr(j))) t += w.common(nbr(j)) - 1; j += 1 }
             if (t > 0) lower(a, t)
           }
           i += 1

@@ -23,21 +23,20 @@ private[patterns] final class Wedges(g: LocalGraph) {
   def size: Int = touched
 
   /** Count the live 2-paths v–a–u with a > `above`, u > `above` and u ≠ v.
-    * The liveness of v itself is not checked. Adjacency lists are sorted,
+    * The liveness of v itself is not checked. Neighbour slices are sorted,
     * so each is read from its end down to `above`. */
   def around(v: Int, alive: Array[Boolean], above: Int): Unit = {
     var i = 0
     while (i < touched) { common(ends(i)) = 0; i += 1 }
     touched = 0
-    val nv = g.adj(v)
-    i = nv.length - 1
-    while (i >= 0 && nv(i) > above) {
-      val a = nv(i)
+    val nbr = g.nbr
+    i = g.off(v + 1) - 1
+    while (i >= g.off(v) && nbr(i) > above) {
+      val a = nbr(i)
       if (alive(a)) {
-        val na = g.adj(a)
-        var j = na.length - 1
-        while (j >= 0 && na(j) > above) {
-          val u = na(j)
+        var j = g.off(a + 1) - 1
+        while (j >= g.off(a) && nbr(j) > above) {
+          val u = nbr(j)
           if (u != v && alive(u)) {
             if (common(u) == 0) { ends(touched) = u; touched += 1 }
             common(u) += 1

@@ -9,6 +9,9 @@ import scala.util.Random
 /** Shared helpers for the test suites. */
 object TestUtil {
 
+  /** A copy of the neighbour slice of `v` in `g`. */
+  def adj(g: LocalGraph, v: Int): Array[Int] = java.util.Arrays.copyOfRange(g.nbr, g.off(v), g.off(v + 1))
+
   /** Deterministic G(n, p) random graph. */
   def randomGraph(n: Int, p: Double, seed: Long): LocalGraph = {
     val rnd   = new Random(seed)
@@ -173,7 +176,7 @@ object TestUtil {
     */
   def referenceCliques(g: LocalGraph, h: Int): Array[Array[Int]] = {
     val rank = repro.core.KCore.decompose(g).rank
-    val out  = Array.tabulate(g.n)(v => g.adj(v).filter(w => rank(w) > rank(v)))
+    val out  = Array.tabulate(g.n)(v => adj(g, v).filter(w => rank(w) > rank(v)))
     val res  = mutable.ArrayBuffer.empty[Array[Int]]
     val clique = new Array[Int](h)
     def intersect(a: Array[Int], b: Array[Int]): Array[Int] = {
@@ -205,7 +208,7 @@ object TestUtil {
     val seen = mutable.HashMap.empty[Set[(Int, Int)], Array[Int]]
     def e(x: Int, y: Int) = (math.min(x, y), math.max(x, y))
     for (u <- 0 until g.n; v <- (u + 1) until g.n) {
-      val cs = g.adj(u).filter(g.hasEdge(v, _))
+      val cs = adj(g, u).filter(g.hasEdge(v, _))
       for (i <- cs.indices; j <- (i + 1) until cs.length) {
         val (a, b) = (cs(i), cs(j))
         seen.getOrElseUpdate(Set(e(u, a), e(a, v), e(v, b), e(b, u)), Array(u, v, a, b).sorted)

@@ -11,7 +11,7 @@ class KCoreSpec extends AnyFunSuite {
     var keep = (0 until g.n).toSet
     var changed = true
     while (changed) {
-      val bad = keep.filter(v => g.adj(v).count(keep) < k)
+      val bad = keep.filter(v => TestUtil.adj(g, v).count(keep) < k)
       changed = bad.nonEmpty
       keep = keep -- bad
     }
@@ -64,7 +64,7 @@ class KCoreSpec extends AnyFunSuite {
     val dec = KCore.decompose(g)
     dec.order.indices.foreach { i =>
       val v = dec.order(i)
-      val later = g.adj(v).count(u => dec.rank(u) > i)
+      val later = TestUtil.adj(g, v).count(u => dec.rank(u) > i)
       assert(later <= dec.kMax)
     }
   }

@@ -24,6 +24,12 @@ class HarnessSpec extends AnyFunSuite {
     assert(v == 42 && s >= 0.004)
   }
 
+  test("warmBest warms with reps calls, times reps more and returns the first call's result") {
+    var calls = 0
+    val (first, best) = Harness.warmBest(4) { calls += 1; calls }
+    assert(calls == 8 && first == 1 && best >= 0.0)
+  }
+
   test("benchScale: small graphs full size, large graphs shrunk") {
     assert(Datasets.benchScale("Yeast") == 1.0)
     assert(Datasets.benchScale("UK-2002") == 0.01)

@@ -34,7 +34,7 @@ class LocalGraphSpec extends AnyFunSuite {
   test("hasEdge agrees with adjacency") {
     val g = TestUtil.randomGraph(20, 0.3, 42)
     for (u <- 0 until g.n; v <- 0 until g.n if u != v)
-      assert(g.hasEdge(u, v) == g.adj(u).contains(v), s"($u,$v)")
+      assert(g.hasEdge(u, v) == TestUtil.adj(g, u).contains(v), s"($u,$v)")
   }
 
   test("hasEdge is false on self pairs") {
@@ -104,26 +104,120 @@ class LocalGraphSpec extends AnyFunSuite {
     (ids, adj.map(_.toArray))
   }
 
+  /** `fromEdges` equals the naive build: the same ids, slices, m and maximum degree. */
+  private def assertNaive(edges: Seq[(Long, Long)], extra: Seq[Long]): LocalGraph = {
+    val g          = LocalGraph.fromEdges(edges, extra)
+    val (ids, adj) = naive(edges, extra)
+    assert(g.ids.toSeq == ids.toSeq)
+    assert((0 until g.n).map(TestUtil.adj(g, _).toSeq) == adj.map(_.toSeq).toSeq)
+    assert(g.m == adj.map(_.length).sum / 2 && g.maxDegree == adj.map(_.length).maxOption.getOrElse(0))
+    g
+  }
+
+  /** Random edges over `pool`, with self-loops, duplicates and reversed pairs. */
+  private def noisyEdges(pool: Array[Long], m: Int, rnd: scala.util.Random): Seq[(Long, Long)] = {
+    val edges = Seq.fill(m) {
+      val a = pool(rnd.nextInt(pool.length))
+      rnd.nextInt(10) match {
+        case 0 => (a, a)
+        case _ => (a, pool(rnd.nextInt(pool.length)))
+      }
+    }
+    edges ++ edges.take(m / 6) ++ edges.take(m / 6).map(_.swap)
+  }
+
   for (seed <- 1 to 8) {
     test(s"fromEdges equals the naive HashSet/TreeSet build (seed=$seed)") {
       // ids spread over the whole Long range, with self-loops, duplicates,
       // reversed pairs and extra vertices, some of them also endpoints
       val rnd   = new scala.util.Random(seed)
       val pool  = Array.fill(60)(rnd.nextLong() >> rnd.nextInt(64))
-      val edges = Seq.fill(300) {
-        val a = pool(rnd.nextInt(pool.length))
-        rnd.nextInt(10) match {
-          case 0 => (a, a)
-          case _ => (a, pool(rnd.nextInt(pool.length)))
-        }
-      }
-      val noisy = edges ++ edges.take(50) ++ edges.take(50).map(_.swap)
+      val noisy = noisyEdges(pool, 300, rnd)
       val extra = Seq.fill(10)(if (rnd.nextBoolean()) pool(rnd.nextInt(pool.length)) else rnd.nextLong())
-      val g          = LocalGraph.fromEdges(noisy, extra)
-      val (ids, adj) = naive(noisy, extra)
-      assert(g.ids.toSeq == ids.toSeq)
-      assert(g.adj.map(_.toSeq).toSeq == adj.map(_.toSeq).toSeq)
-      assert(g.m == adj.map(_.length).sum / 2 && g.maxDegree == adj.map(_.length).max)
+      assertNaive(noisy, extra)
+    }
+  }
+
+  // id families that collide under a weak hash; 3,000 ids grow the table from 16 to 8,192 slots
+  for ((family, id) <- Seq[(String, Int => Long)](
+         "consecutive ids"   -> (_.toLong),
+         "multiples of 2^32" -> (_.toLong << 32),
+         "multiples of 2^48" -> (_.toLong << 48),
+         "negative ids"      -> (i => -1L - i))) {
+    test(s"fromEdges equals the naive build on $family") {
+      val rnd  = new scala.util.Random(family.hashCode)
+      val pool = Array.tabulate(3000)(id)
+      assertNaive(noisyEdges(pool, 12000, rnd), Seq(id(3000), id(0)))
+    }
+  }
+
+  test("fromEdges equals the naive build on Long.MinValue, Long.MaxValue, 0 and -1 together") {
+    val ends = Seq(Long.MinValue, Long.MaxValue, 0L, -1L)
+    val g    = assertNaive(for (a <- ends; b <- ends) yield (a, b), Nil)
+    assert(g.ids.toSeq == ends.sorted && g.m == 6)
+  }
+
+  test("an id only in extraVertices is an isolated vertex at its sorted place") {
+    val g = assertNaive(Seq((5L, 9L), (9L, -3L)), Seq(7L, Long.MinValue, 9L))
+    assert(g.ids.toSeq == Seq(Long.MinValue, -3L, 5L, 7L, 9L))
+    assert(g.degree(3) == 0 && g.degree(0) == 0)
+  }
+
+  test("an input of self-loops only has no edges and only the extra vertices") {
+    assert(assertNaive(Seq((4L, 4L), (-1L, -1L), (4L, 4L)), Nil).n == 0)
+    val g = assertNaive(Seq((4L, 4L), (-1L, -1L)), Seq(4L))
+    assert(g.n == 1 && g.m == 0 && g.off.toSeq == Seq(0, 0))
+  }
+
+  for (seed <- 1 to 6) {
+    test(s"CSR invariants: offsets rise to 2m, slices strictly increase, every edge in both slices (seed=$seed)") {
+      val g = TestUtil.randomGraph(30 + 10 * seed, 0.05 * seed, seed)
+      assert(g.off.length == g.n + 1 && g.off(0) == 0 && g.off(g.n) == 2 * g.m)
+      assert(g.nbr.length == g.off(g.n))
+      for (v <- 0 until g.n) {
+        assert(g.off(v) <= g.off(v + 1))
+        val a = TestUtil.adj(g, v)
+        assert(a.indices.drop(1).forall(i => a(i - 1) < a(i)), s"slice of $v: ${a.toSeq}")
+        assert(a.forall(w => w != v && TestUtil.adj(g, w).contains(v)), s"v=$v")
+      }
+    }
+  }
+
+  for (seed <- 1 to 6) {
+    test(s"inducedWithMap and components equal naive versions on random subsets (seed=$seed)") {
+      val rnd = new scala.util.Random(seed)
+      val g   = TestUtil.randomGraph(40, 0.02 * seed, seed)
+      val keeps = Seq(Seq.empty[Int], Seq.fill(25)(rnd.nextInt(g.n)), Seq.fill(60)(rnd.nextInt(g.n)),
+                      (0 until g.n).filter(_ => rnd.nextBoolean()), 0 until g.n)
+      for (keep <- keeps) {
+        val kept     = keep.distinct.sorted
+        val (s, old) = g.inducedWithMap(keep)
+        assert(old.toSeq == kept && s.ids.toSeq == kept.map(g.ids))
+        for (i <- kept.indices)
+          assert(TestUtil.adj(s, i).toSeq == TestUtil.adj(g, kept(i)).toSeq.filter(kept.contains).map(kept.indexOf(_)))
+        val subset = rnd.shuffle(keep).toArray
+        assert(g.components(subset).map(_.toSeq) == naiveComponents(g, subset))
+      }
+    }
+  }
+
+  /** Components by repeated set growth, in order of their first vertex in `subset`. */
+  private def naiveComponents(g: LocalGraph, subset: Array[Int]): Seq[Seq[Int]] = {
+    val in   = subset.toSet
+    val done = mutable.Set.empty[Int]
+    subset.toSeq.flatMap { s =>
+      if (done(s)) None
+      else {
+        var comp = Set(s)
+        var grow = true
+        while (grow) {
+          val next = comp ++ comp.flatMap(v => TestUtil.adj(g, v)).filter(in)
+          grow = next.size > comp.size
+          comp = next
+        }
+        done ++= comp
+        Some(comp.toSeq.sorted)
+      }
     }
   }
 

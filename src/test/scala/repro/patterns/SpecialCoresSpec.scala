@@ -199,13 +199,13 @@ class SpecialCoresSpec extends AnyFunSuite {
     var (bestMu, bestSuffix) = (mu0, 0)
     for (step <- 0 until n) {
       val live = (0 until n).filter(alive)
-      live.foreach(v => deg(v) = g.adj(v).filter(alive).foldLeft(choose(d(v), x))((t, u) => satAdd(t, choose(d(u) - 1, x - 1))))
+      live.foreach(v => deg(v) = TestUtil.adj(g, v).filter(alive).foldLeft(choose(d(v), x))((t, u) => satAdd(t, choose(d(u) - 1, x - 1))))
       val v = live.minBy(u => (deg(u), u))
       k = math.max(k, deg(v))
       core(v) = k
       order(step) = v
       alive(v) = false
-      g.adj(v).foreach(d(_) -= 1)
+      TestUtil.adj(g, v).foreach(d(_) -= 1)
       if (mu != Long.MaxValue) mu = live.filter(alive).foldLeft(0L)((t, u) => satAdd(t, choose(d(u), x)))
       val rest = n - step - 1
       if (rest > 0 && mu != Long.MaxValue && mu.toDouble / rest > bestMu.toDouble / (n - bestSuffix)) {
