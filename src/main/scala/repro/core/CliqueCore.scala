@@ -184,61 +184,49 @@ object CliqueCore {
     (part, pos)
   }
 
-  /** A zeroed degree array for vertex range n.
+  /** The one path into a store: collects instances of h vertices of 0
+    * until n in fixed-size chunks, checking each and counting each vertex's
+    * instances as it copies them, then copies the chunks once into the flat
+    * array: growing one array by doubling would copy and zero it again at
+    * every step.
     *
-    * @throws IllegalArgumentException if n < 0
-    */
-  private def degreesFor(n: Int): Array[Int] = {
-    if (n < 0) throw new IllegalArgumentException(s"vertex count $n is negative")
-    new Array[Int](n)
-  }
-
-  /** Counts instance `id`, at `data(base until base + h)`, into `deg`.
-    *
-    * @throws IllegalArgumentException if it holds a vertex outside
-    *         [0, deg.length) or repeats a vertex
-    */
-  private def admit(deg: Array[Int], data: Array[Int], base: Int, h: Int, id: Int): Unit = {
-    // sorted, as listings emit them: in range and strictly increasing means
-    // no vertex outside [0, n) and none repeated
-    var ok = h > 0 && data(base) >= 0 && data(base + h - 1) < deg.length
-    var i  = base + 1
-    while (ok && i < base + h) { ok = data(i - 1) < data(i); i += 1 }
-    i = base
-    while (i < base + h) {
-      val v = data(i)
-      if (!ok) {
-        if (v < 0 || v >= deg.length)
-          throw new IllegalArgumentException(s"instance $id holds vertex $v outside [0, ${deg.length})")
-        var j = base
-        while (j < i) {
-          if (data(j) == v) throw new IllegalArgumentException(s"instance $id repeats vertex $v")
-          j += 1
-        }
-      }
-      deg(v) += 1
-      i += 1
-    }
-  }
-
-  /** Collects instances of h >= 1 vertices of 0 until n in fixed-size
-    * chunks, counting each vertex's instances as it copies them, then copies
-    * the chunks once into the flat array: growing one array by doubling
-    * would copy and zero it again at every step.
+    * @throws IllegalArgumentException if n < 0, an instance does not have h
+    *         vertices, holds a vertex outside [0, n) or repeats one, or the
+    *         instances do not fit one array
     */
   private final class Collector(n: Int, h: Int) extends (Array[Int] => Unit) {
-    private val chunkLen = math.max(1, (1 << 16) / h) * h
+    if (n < 0) throw new IllegalArgumentException(s"vertex count $n is negative")
+    private val chunkLen = math.max(1, (1 << 16) / math.max(1, h)) * math.max(1, h)
     private val full     = mutable.ArrayBuffer.empty[Array[Int]]
-    private val deg      = degreesFor(n)
+    private val deg      = new Array[Int](n)
     private var chunk    = new Array[Int](chunkLen)
     private var at       = 0
     private var count    = 0
 
     def apply(inst: Array[Int]): Unit = {
+      if (inst.length != h)
+        throw new IllegalArgumentException(s"instance $count has ${inst.length} vertices, not $h")
       if (at == chunkLen) nextChunk()
-      var i = 0
-      while (i < h) { chunk(at + i) = inst(i); i += 1 }
-      admit(deg, chunk, at, h, count)
+      // sorted, as listings emit them: in range and strictly increasing means
+      // no vertex outside [0, n) and none repeated
+      var ok = h > 0 && inst(0) >= 0 && inst(h - 1) < n
+      var i  = 1
+      while (ok && i < h) { ok = inst(i - 1) < inst(i); i += 1 }
+      i = 0
+      while (i < h) {
+        val v = inst(i)
+        if (!ok) {
+          if (v < 0 || v >= n) throw new IllegalArgumentException(s"instance $count holds vertex $v outside [0, $n)")
+          var j = 0
+          while (j < i) {
+            if (inst(j) == v) throw new IllegalArgumentException(s"instance $count repeats vertex $v")
+            j += 1
+          }
+        }
+        chunk(at + i) = v
+        deg(v) += 1
+        i += 1
+      }
       at += h
       count += 1
     }
@@ -270,30 +258,16 @@ object CliqueCore {
     c.result()
   }
 
-  /** The flat copy of an instance list over 0 until n.
+  /** The flat copy of an instance list over 0 until n, through the same
+    * [[Collector]] as a listing; h is the size of the first instance, 0 for
+    * an empty list.
     *
-    * @throws IllegalArgumentException if n < 0, the instances differ in size
-    *         or do not fit one array, or an instance holds a vertex outside
-    *         [0, n) or repeats a vertex
+    * @throws IllegalArgumentException as the [[Collector]] does
     */
   private[core] def flatten(n: Int, instances: Array[Array[Int]]): Instances = {
-    val deg   = degreesFor(n)
-    val h     = if (instances.isEmpty) 0 else instances(0).length
-    val total = instances.length.toLong * h
-    if (total > Int.MaxValue - 8)
-      throw new IllegalArgumentException(s"$total vertex-instance incidences do not fit one array")
-    val data = new Array[Int](total.toInt)
-    var i    = 0
-    while (i < instances.length) {
-      val inst = instances(i)
-      if (inst.length != h)
-        throw new IllegalArgumentException(s"instance $i has ${inst.length} vertices, instance 0 has $h")
-      var j = 0
-      while (j < h) { data(i * h + j) = inst(j); j += 1 }
-      admit(deg, data, i * h, h, i)
-      i += 1
-    }
-    new Instances(h, data, instances.length, deg)
+    val c = new Collector(n, if (instances.isEmpty) 0 else instances(0).length)
+    instances.foreach(c)
+    c.result()
   }
 
   /** The peel engine: removing u kills u's live instances, and each of

@@ -11,8 +11,11 @@ import repro.patterns.Pattern
   *     component density from the decomposition);
   *  2. the CDS is located inside the (k'', Ψ)-core (Prunings 1+2), and the
   *     search runs per connected component (Pruning 3);
-  *  3. flow-network nodes pruned by Lemma 8, instances grouped by vertex set
-  *     (construct+; skipped for cliques, which never share a vertex set);
+  *  3. instances grouped by vertex set (construct+; skipped for cliques,
+  *     which never share a vertex set). Algorithm 4's Lemma-8 pruning of
+  *     network nodes is left out: the network is exact without it, and
+  *     inside the (k, Ψ)-cores it searches it pruned nothing (DESIGN.md
+  *     deviation 9);
   *  4. as the lower bound l grows, components shrink to the (⌈l⌉, Ψ)-core,
   *     so later networks get smaller;
   *  5. not in the paper: no network for a component whose load bound,
@@ -85,8 +88,7 @@ object CoreExact {
       else { val cs = g.components(dec.coreVertices(kPP)); (cs, store.loads(cs)._2) }
     def bounded(load: Long, b: Subgraph): Boolean = load * b.size <= h.toLong * b.instances
     lazy val lists = store.partition(comps.indices.map(c => if (bounded(load(c), best)) Array.emptyIntArray else comps(c)))
-    val search = new DensitySearch((nv, local) => new DensestFlow.Network(
-      nv, DensestFlow.pruneLemma8(nv, group(local.toArrays), h), h), best)
+    val search = new DensitySearch((nv, local) => new DensestFlow.Network(nv, group(local.toArrays), h), best)
     // positions in vs of the vertices of the (k, Ψ)-core
     def inCore(vs: Array[Int], k: Long): Array[Int] =
       java.util.stream.IntStream.range(0, vs.length).filter(i => core(vs(i)) >= k).toArray

@@ -22,7 +22,8 @@ object Subgraph {
   def none(g: LocalGraph): Subgraph = Subgraph(if (g.n > 0) Array(0) else Array.empty, 0L)
 }
 
-/** Shared helpers for the densest-subgraph algorithms. */
+/** μ recounted over an instance list. No algorithm calls these; they are
+  * the benchmark's second route to a reported density. */
 object Densest {
 
   /** μ(G[S], Ψ) by filtering a materialized instance list: instances whose

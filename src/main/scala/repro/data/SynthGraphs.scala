@@ -31,15 +31,31 @@ object SynthGraphs {
     LocalGraph.fromEdges(edges, (0L until n.toLong))
   }
 
-  /** Erdős–Rényi with a target edge count (sampled without replacement). */
+  /** Erdős–Rényi with a target edge count (sampled without replacement).
+    *
+    * @throws IllegalArgumentException if m exceeds the n(n − 1)/2 pairs
+    */
   def erM(n: Int, m: Int, seed: Long = 1): LocalGraph = {
-    val rnd  = new Random(seed)
-    val seen = mutable.HashSet.empty[(Long, Long)]
-    while (seen.size < m) {
-      val a = rnd.nextInt(n); val b = rnd.nextInt(n)
-      if (a != b) seen += (if (a < b) (a.toLong, b.toLong) else (b.toLong, a.toLong))
+    val pairs = n.toLong * (n - 1) / 2
+    if (m > pairs) throw new IllegalArgumentException(s"$m edges asked for on $n vertices, which have at most $pairs")
+    val rnd = new Random(seed)
+    distinctPairs(n, m, Long.MaxValue)(() => (rnd.nextInt(n).toLong << 32) | rnd.nextInt(n))
+  }
+
+  /** The graph on 0 until n of the first m distinct pairs {a, b}, a ≠ b,
+    * that `draw` gives as (a << 32) | b, or of those it gives in `maxTries`
+    * draws. Each pair is kept as one packed key in an id hash.
+    */
+  private def distinctPairs(n: Int, m: Int, maxTries: Long)(draw: () => Long): LocalGraph = {
+    val seen  = new LocalGraph.IdIndex
+    var tries = 0L
+    while (seen.size < m && tries < maxTries) {
+      val p = draw(); val a = (p >>> 32).toInt; val b = p.toInt
+      if (a != b) seen(if (a < b) p else (b.toLong << 32) | a)
+      tries += 1
     }
-    LocalGraph.fromEdges(seen, (0L until n.toLong))
+    val keys = seen.ids
+    LocalGraph.fromEdges(Iterator.tabulate(seen.size)(i => (keys(i) >>> 32, keys(i) & 0xFFFFFFFFL)), 0L until n.toLong)
   }
 
   /** Chung–Lu power-law: expected degree of rank-i vertex ∝ (i+1)^(-1/(alpha-1)),
@@ -62,15 +78,7 @@ object SynthGraphs {
       while (lo < hi) { val mid = (lo + hi) / 2; if (cdf(mid) < x) lo = mid + 1 else hi = mid }
       lo
     }
-    val seen = mutable.HashSet.empty[(Long, Long)]
-    var tries = 0
-    val maxTries = m * 20
-    while (seen.size < m && tries < maxTries) {
-      val a = draw(); val b = draw()
-      if (a != b) seen += (if (a < b) (a.toLong, b.toLong) else (b.toLong, a.toLong))
-      tries += 1
-    }
-    LocalGraph.fromEdges(seen, (0L until n.toLong))
+    distinctPairs(n, m, m * 20)(() => (draw().toLong << 32) | draw())
   }
 
   /** SSCA-like: vertices partitioned into random-sized groups, each made a
@@ -98,11 +106,9 @@ object SynthGraphs {
   /** R-MAT recursive-matrix generator (a=0.57 b=0.19 c=0.19 d=0.05 defaults). */
   def rmat(scale: Int, m: Int, seed: Long = 1,
            a: Double = 0.57, b: Double = 0.19, c: Double = 0.19): LocalGraph = {
-    val rnd  = new Random(seed)
-    val n    = 1 << scale
-    val seen = mutable.HashSet.empty[(Long, Long)]
-    var tries = 0
-    while (seen.size < m && tries < m * 20) {
+    val rnd = new Random(seed)
+    val n   = 1 << scale
+    distinctPairs(n, m, m * 20) { () =>
       var u = 0; var v = 0; var bit = n >> 1
       while (bit > 0) {
         val x = rnd.nextDouble()
@@ -112,10 +118,8 @@ object SynthGraphs {
         else { u += bit; v += bit }
         bit >>= 1
       }
-      if (u != v) seen += (if (u < v) (u.toLong, v.toLong) else (v.toLong, u.toLong))
-      tries += 1
+      (u.toLong << 32) | v
     }
-    LocalGraph.fromEdges(seen, (0L until n.toLong))
   }
 
   /** Overlay a quasi-clique (each pair present with probability p) on `size`
@@ -136,29 +140,6 @@ object SynthGraphs {
   /** Overlay a clique on `size` distinct random vertices of `g`. */
   def plantClique(g: LocalGraph, size: Int, seed: Long = 7): LocalGraph =
     plantQuasiClique(g, size, 1.0, seed)
-
-  /** The Example-5 exemplar (Figure 5 of the paper), built to its spec:
-    * S1 = 7 vertices / 15 edges, the EDS (density 15/7, a 3-core);
-    * S2 = K5, the k_max-core (k_max = 4, density 2 < 15/7);
-    * S3 = S1 ∪ S2 (the 3-core, 12 vertices / 25 edges, ρ' = 25/12);
-    * plus a sparse tail so G ⊋ S3.
-    * Demonstrates that the k_max-core is NOT the EDS.
-    */
-  def figure5: LocalGraph = {
-    val edges = mutable.ArrayBuffer.empty[(Long, Long)]
-    // S1: vertices 0..6 — wheel (center 0, cycle 1..6) + 3 chords among the
-    // odd spokes = 15 edges; min degree 3 and max core 3 (the even spokes
-    // keep degree 3, so S1 is NOT a 4-core and k_max stays at the K5).
-    for (i <- 1 to 6) edges += ((0L, i.toLong))
-    for (i <- 1 to 6) edges += ((i.toLong, if (i == 6) 1L else (i + 1).toLong))
-    edges += ((1L, 3L)); edges += ((3L, 5L)); edges += ((5L, 1L))
-    // S2: K5 on vertices 7..11 (10 edges).
-    for (i <- 7 to 11; j <- (i + 1) to 11) edges += ((i.toLong, j.toLong))
-    // sparse tail: path 12-13-14, attached to both blobs with degree-1/2 vertices
-    edges += ((12L, 13L)); edges += ((13L, 14L))
-    edges += ((12L, 0L)); edges += ((14L, 7L))
-    LocalGraph.fromEdges(edges)
-  }
 
   /** Spark edge DataFrame (src, dst with src < dst) for a local graph. */
   def toDF(spark: SparkSession, g: LocalGraph): DataFrame = {

@@ -138,9 +138,8 @@ object Tables {
       nm +: pats.flatMap { p =>
         if (p == Pattern.Edge) Seq(Harness.fmt(eds.density))
         else {
-          val cds    = CoreExact.run(g, p)
-          val inst   = p.instances(g)
-          val onEds  = Densest.subgraphOf(inst, g.n, eds.vertices)
+          val cds   = CoreExact.run(g, p)
+          val onEds = Subgraph(eds.vertices, p.count(g.induced(eds.vertices)))
           Seq(Harness.fmt(cds.density), Harness.fmt(onEds.density))
         }
       }

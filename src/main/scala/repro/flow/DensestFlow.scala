@@ -8,6 +8,8 @@ package repro.flow
   * have the same min-st-cut capacity. CoreExact groups every pattern but
   * cliques (whose vertex sets never repeat), QueryDensest groups every
   * pattern, and Exact, the paper's baseline, builds the ungrouped network.
+  * No algorithm prunes nodes by Lemma 8; [[pruneLemma8]] and [[build]]
+  * serve only the benchmark's flow probe.
   *
   * A [[Network]] is built once per vertex set and probed at many guesses α:
   * only the v→t capacities (α·h) depend on α (the premise of parametric
@@ -56,8 +58,9 @@ object DensestFlow {
     * pruned here is pruned by Lemma 8; the flow network stays correct because
     * s→v capacities are recomputed from the retained groups (Appendix C.3).
     * A group whose vertices all have Ψ-degree ≥ μ/n is never pruned, since
-    * then μ − Σ deg(v) ≤ (n − h)·μ/n; inside CoreExact's (k, Ψ)-cores, with
-    * k ≥ ρ, that holds for every group (DESIGN.md deviation 9).
+    * then μ − Σ deg(v) ≤ (n − h)·μ/n. CoreExact does not call it: inside
+    * its (k, Ψ)-cores it pruned no group (DESIGN.md deviation 9). It stays
+    * for the benchmark's flow probe.
     */
   def pruneLemma8(nVerts: Int, groups: Array[Group], h: Int): Array[Group] = {
     if (nVerts <= h) return groups

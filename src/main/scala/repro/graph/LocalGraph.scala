@@ -25,14 +25,6 @@ final class LocalGraph(val ids: Array[Long], val off: Array[Int], val nbr: Array
   /** Degree of local vertex `v`. */
   def degree(v: Int): Int = off(v + 1) - off(v)
 
-  /** Maximum degree (0 for the empty graph). */
-  def maxDegree: Int = {
-    var max = 0
-    var v   = 0
-    while (v < n) { max = math.max(max, degree(v)); v += 1 }
-    max
-  }
-
   /** Edge test via binary search over the sorted slice of `u`. */
   def hasEdge(u: Int, v: Int): Boolean =
     u != v && java.util.Arrays.binarySearch(nbr, off(u), off(u + 1), v) >= 0
@@ -219,8 +211,10 @@ object LocalGraph {
 
   /** Open-addressing (linear probing) hash from external id to the order in
     * which it was first seen; `ids(0 until size)` lists them in that order.
+    * The generators in [[repro.data.SynthGraphs]] keep their sampled vertex
+    * pairs in one, as packed keys.
     */
-  private final class IdIndex {
+  private[repro] final class IdIndex {
     private var shift = 64 - 4
     private var keys  = new Array[Long](1 << 4)
     private var slot  = new Array[Int](1 << 4) // 1 + the index of keys(i); 0 when empty

@@ -2,7 +2,6 @@ package repro.patterns
 
 import repro.cliques.CliqueEnum
 import repro.graph.LocalGraph
-import scala.collection.mutable
 
 /** A pattern Ψ (Section 7): a small connected simple graph.
   *
@@ -231,83 +230,21 @@ object Pattern {
     }
   }
 
-  /** Generic pattern from an explicit edge list over vertices 0..p-1.
-    * Enumeration is VF2-style backtracking with edge-set deduplication —
-    * the correctness reference for the specialized enumerators above.
-    */
-  final case class Generic(override val name: String, pEdges: Seq[(Int, Int)])
-      extends Pattern(name, pEdges.flatMap(e => Seq(e._1, e._2)).max + 1) {
-
-    private val p = numVertices
-    private val pAdj: Array[Array[Int]] = {
-      val b = Array.fill(p)(mutable.Set.empty[Int])
-      pEdges.foreach { case (a, c) => b(a) += c; b(c) += a }
-      b.map(_.toArray.sorted)
-    }
-    // visit order: each pattern vertex after the first touches an earlier one
-    private val visitOrder: Array[Int] = {
-      val order = mutable.ArrayBuffer(0)
-      val seen  = mutable.Set(0)
-      while (order.size < p) {
-        val next = (0 until p).find(v => !seen(v) && pAdj(v).exists(seen)).get
-        order += next; seen += next
-      }
-      order.toArray
-    }
-
-    def forEach(g: LocalGraph)(f: Array[Int] => Unit): Unit = {
-      val found = mutable.HashMap.empty[Seq[Long], Array[Int]]
-      val map   = Array.fill(p)(-1)
-      val used  = mutable.Set.empty[Int]
-
-      def edgeKey(a: Int, b: Int): Long =
-        if (a < b) (a.toLong << 32) | b.toLong else (b.toLong << 32) | a.toLong
-
-      def rec(i: Int): Unit = {
-        if (i == p) {
-          val key = pEdges.map { case (a, c) => edgeKey(map(a), map(c)) }.sorted
-          if (!found.contains(key)) found(key) = map.clone().sorted
-          return
-        }
-        val pv = visitOrder(i)
-        val anchors = pAdj(pv).filter(map(_) >= 0)
-        val candidates: Iterable[Int] =
-          if (anchors.isEmpty) 0 until g.n else slice(g, map(anchors.head)).toSeq
-        for (gv <- candidates if !used(gv)) {
-          if (anchors.forall(a => g.hasEdge(map(a), gv))) {
-            map(pv) = gv; used += gv
-            rec(i + 1)
-            map(pv) = -1; used -= gv
-          }
-        }
-      }
-      rec(0)
-      found.values.foreach(f)
-    }
-  }
-
-  /** A copy of the neighbour slice of `v`, for the cold reference listings. */
+  /** A copy of the neighbour slice of `v`, for the cold listings. */
   private def slice(g: LocalGraph, v: Int): Array[Int] = java.util.Arrays.copyOfRange(g.nbr, g.off(v), g.off(v + 1))
 
-  /** Emit the instance {a, b, c, d} to `f` in `buf`, sorted. */
+  /** Emit the instance {a, b, c, d} to `f` in `buf`, sorted by insertion. */
   private def emitSorted(buf: Array[Int], a: Int, b: Int, c: Int, d: Int, f: Array[Int] => Unit): Unit = {
     buf(0) = a; buf(1) = b; buf(2) = c; buf(3) = d
-    java.util.Arrays.sort(buf)
+    var i = 1
+    while (i < 4) {
+      val x = buf(i)
+      var j = i
+      while (j > 0 && buf(j - 1) > x) { buf(j) = buf(j - 1); j -= 1 }
+      buf(j) = x
+      i += 1
+    }
     f(buf)
-  }
-
-  /** Generic (reference) versions of the named patterns, for cross-checks. */
-  def genericOf(p: Pattern): Generic = p match {
-    case Clique(h) =>
-      Generic(s"generic-$h-clique", for (i <- 0 until h; j <- (i + 1) until h) yield (i, j))
-    case Star(x) => Generic(s"generic-$x-star", (1 to x).map(i => (0, i)))
-    case Diamond => Generic("generic-diamond", Seq((0, 1), (1, 2), (2, 3), (3, 0)))
-    case TwoTriangle =>
-      Generic("generic-2-triangle", Seq((0, 1), (0, 2), (1, 2), (0, 3), (1, 3)))
-    case Path4 => Generic("generic-4-path", Seq((0, 1), (1, 2), (2, 3)))
-    case TailedTriangle =>
-      Generic("generic-tailed-triangle", Seq((0, 1), (1, 2), (0, 2), (2, 3)))
-    case g: Generic => g
   }
 
   /** Named lookup used by jobs / benches. */

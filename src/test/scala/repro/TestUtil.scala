@@ -12,6 +12,92 @@ object TestUtil {
   /** A copy of the neighbour slice of `v` in `g`. */
   def adj(g: LocalGraph, v: Int): Array[Int] = java.util.Arrays.copyOfRange(g.nbr, g.off(v), g.off(v + 1))
 
+  /** The largest degree in `g`, 0 for the empty graph. */
+  def maxDegree(g: LocalGraph): Int = (0 until g.n).map(g.degree).maxOption.getOrElse(0)
+
+  /** The Example-5 exemplar (Figure 5 of the paper), built to its spec:
+    * S1 = 7 vertices / 15 edges, the EDS (density 15/7, a 3-core);
+    * S2 = K5, the k_max-core (k_max = 4, density 2 < 15/7);
+    * S3 = S1 ∪ S2 (the 3-core, 12 vertices / 25 edges, ρ' = 25/12);
+    * plus a sparse tail so G ⊋ S3.
+    * Demonstrates that the k_max-core is NOT the EDS.
+    */
+  def figure5: LocalGraph = {
+    val edges = mutable.ArrayBuffer.empty[(Long, Long)]
+    // S1: vertices 0..6 — wheel (center 0, cycle 1..6) + 3 chords among the
+    // odd spokes = 15 edges; min degree 3 and max core 3 (the even spokes
+    // keep degree 3, so S1 is NOT a 4-core and k_max stays at the K5).
+    for (i <- 1 to 6) edges += ((0L, i.toLong))
+    for (i <- 1 to 6) edges += ((i.toLong, if (i == 6) 1L else (i + 1).toLong))
+    edges += ((1L, 3L)); edges += ((3L, 5L)); edges += ((5L, 1L))
+    // S2: K5 on vertices 7..11 (10 edges).
+    for (i <- 7 to 11; j <- (i + 1) to 11) edges += ((i.toLong, j.toLong))
+    // sparse tail: path 12-13-14, attached to both blobs with degree-1/2 vertices
+    edges += ((12L, 13L)); edges += ((13L, 14L))
+    edges += ((12L, 0L)); edges += ((14L, 7L))
+    LocalGraph.fromEdges(edges)
+  }
+
+  /** The edges of `p` over its vertices 0 until p.numVertices. */
+  private def patternEdges(p: Pattern): Seq[(Int, Int)] = p match {
+    case Pattern.Clique(h)      => for (i <- 0 until h; j <- (i + 1) until h) yield (i, j)
+    case Pattern.Star(x)        => (1 to x).map(i => (0, i))
+    case Pattern.Diamond        => Seq((0, 1), (1, 2), (2, 3), (3, 0))
+    case Pattern.TwoTriangle    => Seq((0, 1), (0, 2), (1, 2), (0, 3), (1, 3))
+    case Pattern.Path4          => Seq((0, 1), (1, 2), (2, 3))
+    case Pattern.TailedTriangle => Seq((0, 1), (1, 2), (0, 2), (2, 3))
+  }
+
+  /** Reference lister, the correctness reference for the pattern listings:
+    * every instance of `p` in `g` as a sorted vertex array, found by
+    * VF2-style backtracking over `p`'s edge list and kept once per edge set.
+    */
+  def generic(p: Pattern)(g: LocalGraph): Array[Array[Int]] = {
+    val pEdges = patternEdges(p)
+    val np     = p.numVertices
+    val pAdj: Array[Array[Int]] = {
+      val b = Array.fill(np)(mutable.Set.empty[Int])
+      pEdges.foreach { case (a, c) => b(a) += c; b(c) += a }
+      b.map(_.toArray.sorted)
+    }
+    // visit order: each pattern vertex after the first touches an earlier one
+    val visitOrder: Array[Int] = {
+      val order = mutable.ArrayBuffer(0)
+      val seen  = mutable.Set(0)
+      while (order.size < np) {
+        val next = (0 until np).find(v => !seen(v) && pAdj(v).exists(seen)).get
+        order += next; seen += next
+      }
+      order.toArray
+    }
+    val found = mutable.HashMap.empty[Seq[Long], Array[Int]]
+    val map   = Array.fill(np)(-1)
+    val used  = mutable.Set.empty[Int]
+
+    def edgeKey(a: Int, b: Int): Long =
+      if (a < b) (a.toLong << 32) | b.toLong else (b.toLong << 32) | a.toLong
+
+    def rec(i: Int): Unit =
+      if (i == np) {
+        val key = pEdges.map { case (a, c) => edgeKey(map(a), map(c)) }.sorted
+        if (!found.contains(key)) found(key) = map.clone().sorted
+      } else {
+        val pv      = visitOrder(i)
+        val anchors = pAdj(pv).filter(map(_) >= 0)
+        val candidates: Iterable[Int] =
+          if (anchors.isEmpty) 0 until g.n else adj(g, map(anchors.head)).toSeq
+        for (gv <- candidates if !used(gv)) {
+          if (anchors.forall(a => g.hasEdge(map(a), gv))) {
+            map(pv) = gv; used += gv
+            rec(i + 1)
+            map(pv) = -1; used -= gv
+          }
+        }
+      }
+    rec(0)
+    found.values.toArray
+  }
+
   /** Deterministic G(n, p) random graph. */
   def randomGraph(n: Int, p: Double, seed: Long): LocalGraph = {
     val rnd   = new Random(seed)

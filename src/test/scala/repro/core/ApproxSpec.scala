@@ -52,7 +52,7 @@ class ApproxSpec extends AnyFunSuite {
   }
 
   test("IncApp on figure5 (Ψ=edge) returns the K5, not the EDS") {
-    val g = SynthGraphs.figure5
+    val g = TestUtil.figure5
     val r = IncApp.run(g, Pattern.Edge)
     assert(r.externalIds(g).toSet == Set(7L, 8L, 9L, 10L, 11L))
     assert(math.abs(r.density - 2.0) < 1e-9) // < 15/7: approximation, not exact

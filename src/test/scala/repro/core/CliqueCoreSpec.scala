@@ -111,7 +111,7 @@ class CliqueCoreSpec extends AnyFunSuite {
   }
 
   test("figure5 (Ψ=edge): kMax=4 and the 4-core is the K5") {
-    val g   = repro.data.SynthGraphs.figure5
+    val g   = TestUtil.figure5
     val dec = CliqueCore.decompose(g, Pattern.Edge)
     assert(dec.kMax == 4)
     assert(dec.kMaxCoreVertices.map(g.ids).toSet == Set(7L, 8L, 9L, 10L, 11L))
@@ -273,15 +273,23 @@ class CliqueCoreSpec extends AnyFunSuite {
                                   Pattern.Star(3), Pattern.Diamond, Pattern.TwoTriangle, Pattern.Path4,
                                   Pattern.TailedTriangle)
 
-  private val everyPattern: Seq[Pattern] = namedPatterns ++ namedPatterns.map(Pattern.genericOf)
-
-  for (p <- everyPattern) {
+  for (p <- namedPatterns) {
     test(s"instancesOf equals the flat copy of instances, element for element (Ψ=${p.name})") {
       for (g <- Seq(TestUtil.randomGraph(14, 0.45, 3), TestUtil.path(3))) {
         val store = CliqueCore.instancesOf(g, p)
         val flat  = CliqueCore.flatten(g.n, p.instances(g))
         assert(store.h == p.numVertices && store.count == flat.count)
         assert(store.data.sameElements(flat.data))
+      }
+    }
+
+    test(s"instancesOf equals the flat copy of instances, element for element (Ψ=generic-${p.name})") {
+      for (g <- Seq(TestUtil.randomGraph(14, 0.45, 3), TestUtil.path(3))) {
+        val inst = TestUtil.generic(p)(g)
+        val flat = CliqueCore.flatten(g.n, inst)
+        // an empty list has no instance to take h from
+        assert(flat.h == (if (inst.isEmpty) 0 else p.numVertices) && flat.count == inst.length)
+        assert(flat.data.sameElements(inst.flatMap(_.toSeq)))
       }
     }
   }
@@ -308,13 +316,15 @@ class CliqueCoreSpec extends AnyFunSuite {
     c.toSeq
   }
 
-  for (p <- everyPattern) {
-    test(s"every store records its vertex range and the degrees a recount gives (Ψ=${p.name})") {
+  for (p <- namedPatterns; generic <- Seq(false, true)) {
+    test(s"every store records its vertex range and the degrees a recount gives (Ψ=${if (generic) "generic-" else ""}${p.name})") {
       for (g <- Seq(TestUtil.randomGraph(14, 0.45, 3), TestUtil.path(3))) {
-        val inst  = p.instances(g)
-        val naive = (0 until g.n).map(v => inst.count(_.contains(v)))
-        val parts = Vector(Array(0, 2), Array.range(3, g.n))
-        for ((s, what) <- Seq((CliqueCore.instancesOf(g, p), "listing"), (CliqueCore.flatten(g.n, inst), "flatten"))) {
+        val inst   = if (generic) TestUtil.generic(p)(g) else p.instances(g)
+        val naive  = (0 until g.n).map(v => inst.count(_.contains(v)))
+        val parts  = Vector(Array(0, 2), Array.range(3, g.n))
+        val stores = Seq((CliqueCore.flatten(g.n, inst), "flatten")) ++
+                     (if (generic) Nil else Seq((CliqueCore.instancesOf(g, p), "listing")))
+        for ((s, what) <- stores) {
           assert(s.n == g.n && s.degrees.toSeq == naive && recount(s) == naive, what)
           s.partition(parts).zip(parts).foreach { case (q, vs) =>
             assert(q.n == vs.length && q.degrees.toSeq == recount(q), s"$what: partition")

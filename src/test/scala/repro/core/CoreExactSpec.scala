@@ -34,7 +34,7 @@ class CoreExactSpec extends AnyFunSuite {
   }
 
   test("CoreExact on figure5 finds S1 (density 15/7), not the k_max-core") {
-    val g = SynthGraphs.figure5
+    val g = TestUtil.figure5
     val r = CoreExact.run(g, Pattern.Edge)
     assert(math.abs(r.density - 15.0 / 7) < 1e-9)
     assert(r.externalIds(g).toSet == (0L to 6L).toSet)
@@ -178,7 +178,7 @@ class CoreExactSpec extends AnyFunSuite {
   }
 
   test("stats: one node count, one arc count per probe") {
-    val (_, st) = CoreExact.runWithStats(SynthGraphs.figure5, Pattern.Edge)
+    val (_, st) = CoreExact.runWithStats(TestUtil.figure5, Pattern.Edge)
     assert(st.networkNodeCounts.size == st.probes && st.networkArcCounts.size == st.probes)
   }
 

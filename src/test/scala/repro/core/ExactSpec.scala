@@ -2,7 +2,6 @@ package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestUtil
-import repro.data.SynthGraphs
 import repro.flow.DensestFlow
 import repro.graph.LocalGraph
 import repro.patterns.Pattern
@@ -18,7 +17,7 @@ class ExactSpec extends AnyFunSuite {
   }
 
   test("EDS of figure5 is S1 with density 15/7 (paper Example 5)") {
-    val g = SynthGraphs.figure5
+    val g = TestUtil.figure5
     val r = Exact.run(g, Pattern.Edge)
     assert(math.abs(r.density - 15.0 / 7) < 1e-9)
     assert(r.externalIds(g).toSet == (0L to 6L).toSet)

@@ -75,7 +75,7 @@ class KCoreSpec extends AnyFunSuite {
   }
 
   test("kMaxCore of figure5 is the K5") {
-    val g = repro.data.SynthGraphs.figure5
+    val g = TestUtil.figure5
     val dec  = KCore.decompose(g)
     val core = g.induced(dec.coreVertices(dec.kMax))
     assert(core.n == 5 && core.m == 10)

@@ -1,6 +1,7 @@
 package repro.data
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.TestUtil
 import repro.core.KCore
 import repro.patterns.Pattern
 
@@ -22,6 +23,16 @@ class SynthGraphsSpec extends AnyFunSuite {
     val g = SynthGraphs.erM(100, 500, 2)
     assert(g.m == 500)
     assert(g.n == 100)
+  }
+
+  test("erM rejects more edges than the vertices have pairs, naming both numbers") {
+    val e = intercept[IllegalArgumentException](SynthGraphs.erM(16, 121))
+    assert(e.getMessage.contains("121") && e.getMessage.contains("16") && e.getMessage.contains("120"), e.getMessage)
+    // the ER stand-in at scale 1e-4 asks for 483 edges on 16 vertices
+    val s = intercept[IllegalArgumentException](SynthGraphs.standIn("ER", 1e-4))
+    assert(s.getMessage.contains("483") && s.getMessage.contains("16"), s.getMessage)
+    val full = SynthGraphs.erM(16, 120)
+    assert(full.n == 16 && full.m == 120)
   }
 
   test("powerLaw produces requested sizes (approximately for m)") {
@@ -64,7 +75,7 @@ class SynthGraphsSpec extends AnyFunSuite {
   }
 
   test("figure5 matches the Example-5 spec") {
-    val g = SynthGraphs.figure5
+    val g = TestUtil.figure5
     assert(g.n == 15)
     // S1: 7 vertices 15 edges; S2: K5; tail: 2 edges + 2 anchors = 29 total
     assert(g.m == 29)

@@ -28,7 +28,7 @@ class LocalGraphSpec extends AnyFunSuite {
     val g = TestUtil.complete(5)
     assert((0 until 5).forall(g.degree(_) == 4))
     assert(g.m == 10)
-    assert(g.maxDegree == 4)
+    assert(TestUtil.maxDegree(g) == 4)
   }
 
   test("hasEdge agrees with adjacency") {
@@ -89,7 +89,7 @@ class LocalGraphSpec extends AnyFunSuite {
 
   test("empty graph") {
     val g = LocalGraph.fromEdges(Nil)
-    assert(g.n == 0 && g.m == 0 && g.maxDegree == 0)
+    assert(g.n == 0 && g.m == 0 && TestUtil.maxDegree(g) == 0)
     assert(g.components(Array.range(0, g.n)).isEmpty)
   }
 
@@ -110,7 +110,7 @@ class LocalGraphSpec extends AnyFunSuite {
     val (ids, adj) = naive(edges, extra)
     assert(g.ids.toSeq == ids.toSeq)
     assert((0 until g.n).map(TestUtil.adj(g, _).toSeq) == adj.map(_.toSeq).toSeq)
-    assert(g.m == adj.map(_.length).sum / 2 && g.maxDegree == adj.map(_.length).maxOption.getOrElse(0))
+    assert(g.m == adj.map(_.length).sum / 2 && TestUtil.maxDegree(g) == adj.map(_.length).maxOption.getOrElse(0))
     g
   }
 
