@@ -18,8 +18,8 @@ import scala.collection.mutable
   * DESIGN.md "Deviations").
   *
   * The peel also records, for every prefix of removals, μ and the density of
-  * the residual graph — this yields ρ' for CoreExact's Pruning 1 and the best
-  * residual subgraph S* for PeelApp at no extra asymptotic cost.
+  * the residual graph — ρ' for CoreExact's Pruning 1, PeelApp's S* and μ of
+  * IncApp's (k_max, Ψ)-core at no extra asymptotic cost.
   */
 object CliqueCore {
 
@@ -32,12 +32,14 @@ object CliqueCore {
     * @param bestInstances μ of the densest residual subgraph
     * @param bestSuffix    index into `order` such that order[bestSuffix..] is
     *                      the densest residual subgraph (PeelApp's S*)
+    * @param kMaxInstances μ of the (k_max, Ψ)-core
     */
   final case class Result(core: Array[Long],
                           order: Array[Int],
                           totalInstances: Long,
                           bestInstances: Long,
-                          bestSuffix: Int) {
+                          bestSuffix: Int,
+                          kMaxInstances: Long) {
     def kMax: Long = if (core.isEmpty) 0L else core.max
 
     /** ρ': max Ψ-density over all residual subgraphs. */
@@ -45,17 +47,13 @@ object CliqueCore {
 
     /** Vertices (local ids) of the (k, Ψ)-core, ascending. Core numbers
       * never fall along the peel order, so the core is a suffix of it. */
-    def coreVertices(k: Long): Array[Int] = {
-      var lo = 0
-      var hi = order.length
-      while (lo < hi) { val mid = (lo + hi) >>> 1; if (core(order(mid)) >= k) hi = mid else lo = mid + 1 }
-      val vs = java.util.Arrays.copyOfRange(order, lo, order.length)
-      java.util.Arrays.sort(vs)
-      vs
-    }
+    def coreVertices(k: Long): Array[Int] = KCore.suffix(order, core(_) >= k)
 
     /** Vertices of the (k_max, Ψ)-core. */
     def kMaxCoreVertices: Array[Int] = coreVertices(kMax)
+
+    /** The (k_max, Ψ)-core (IncApp's answer), μ as the peel counted it. */
+    def kMaxCore: Subgraph = Subgraph(kMaxCoreVertices, kMaxInstances)
 
     /** Vertices of the densest residual subgraph (PeelApp's S*). */
     def bestResidualVertices: Array[Int] = order.drop(bestSuffix)
@@ -85,9 +83,6 @@ object CliqueCore {
 
     /** The number of instances inside `vs`, a subset of 0 until n. */
     def countWithin(vs: Array[Int]): Long = loads(Vector(vs))._1(0)
-
-    /** `vs` with its μ. */
-    def subgraph(vs: Array[Int]): Subgraph = Subgraph(vs, countWithin(vs))
 
     /** One array per instance, in store order: what the network builder reads. */
     def toArrays: Array[Array[Int]] =

@@ -30,11 +30,6 @@ object CoreApp {
     case _                 => psi.degrees(g) // closed form for stars and the diamond, O(n·d^2)
   }
 
-  def run(g: LocalGraph, psi: Pattern): Subgraph = {
-    val (_, verts, inst) = kMaxCore(g, psi)
-    if (verts.isEmpty) Subgraph.none(g) else Subgraph(verts, inst)
-  }
-
   /** Returns (k_max, vertex set of the (k_max, Ψ)-core in g-local ids,
     * μ of that core).
     */
@@ -47,7 +42,7 @@ object CoreApp {
     * vertex outside W has a bound below the best k_max seen. From the second
     * round on, G[W] first loses every vertex whose [[gamma]] in G[W] is below
     * that k_max. Returns (k_max, the (k_max, Ψ)-core in g-local ids, μ of
-    * that core), μ counted once, by the round that found the core.
+    * that core), μ as the round that found the core reported it.
     */
   private[core] def topDown(g: LocalGraph, psi: Pattern, bound: Array[Long],
                             w0: Int, grow: Int => Int): (Long, Array[Int], Long) = {
@@ -55,8 +50,7 @@ object CoreApp {
     val order = byBoundDescending(bound)
     var w     = math.min(n, w0)
     var kMax  = 0L
-    var best  = Array.empty[Int] // in g-local ids
-    var bestMu: () => Long = () => 0L
+    var best  = Subgraph(Array.emptyIntArray, 0L) // in g-local ids
     var done  = false
     while (!done) {
       val (gw, wMap) = g.inducedWithMap(order.take(w)) // external ids preserved
@@ -71,17 +65,13 @@ object CoreApp {
           if (keep.length == gw.n) (gw, wMap)
           else { val (s, m) = gw.inducedWithMap(keep); (s, m.map(wMap)) }
         }
-      val (subKMax, core, mu) = kMaxCoreOf(sub, psi)
-      if (subKMax >= kMax) {
-        kMax = subKMax
-        best = core.map(backMap)
-        bestMu = mu
-      }
+      val (subKMax, core) = kMaxCoreOf(sub, psi)
+      if (subKMax >= kMax) { kMax = subKMax; best = Subgraph(core.vertices.map(backMap), core.instances) }
       // stopping criterion (line 4): every vertex outside W has a bound < k_max
       done = w >= n || bound(order(w)) < kMax
       if (!done) w = math.min(n, grow(w))
     }
-    (kMax, best, bestMu())
+    (kMax, best.vertices, best.instances)
   }
 
   /** 0 until bound.length by `bound` descending, ties by id ascending, with
@@ -104,29 +94,18 @@ object CoreApp {
     order
   }
 
-  /** (k_max, (k_max, Ψ)-core, μ of that core when asked) of `g` by a full
-    * decomposition. For edges the classical O(m) bin-sort decomposition IS
-    * the (k, Ψ)-core decomposition; stars and the diamond use the
-    * Appendix-D closed-form peel, and μ is counted in closed form on the
-    * core (a star peel's running μ saturates); other patterns peel the flat
-    * store, and μ is counted over it, with no second listing.
+  /** (k_max, (k_max, Ψ)-core with its μ) of `g` by a full decomposition.
+    * For edges the classical O(m) bin-sort decomposition IS the (k, Ψ)-core
+    * decomposition, and μ is the core's edge count; every other pattern
+    * takes its core and μ from [[SpecialCores.decompose]].
     */
-  private def kMaxCoreOf(g: LocalGraph, psi: Pattern): (Long, Array[Int], () => Long) = psi match {
+  private def kMaxCoreOf(g: LocalGraph, psi: Pattern): (Long, Subgraph) = psi match {
     case Pattern.Clique(2) =>
       val dec  = KCore.decompose(g)
       val core = dec.coreVertices(dec.kMax)
-      (dec.kMax.toLong, core, () => g.induced(core).m)
-    case Pattern.Star(_) | Pattern.Diamond =>
-      val dec = psi match {
-        case Pattern.Star(x) => SpecialCores.decomposeStar(g, x)
-        case _               => SpecialCores.decomposeDiamond(g)
-      }
-      val core = dec.kMaxCoreVertices
-      (dec.kMax, core, () => psi.count(g.induced(core)))
+      (dec.kMax.toLong, Subgraph(core, g.induced(core).m))
     case _ =>
-      val s    = CliqueCore.instancesOf(g, psi)
-      val dec  = CliqueCore.peel(s)
-      val core = dec.kMaxCoreVertices
-      (dec.kMax, core, () => s.countWithin(core))
+      val dec = SpecialCores.decompose(g, psi)
+      (dec.kMax, dec.kMaxCore)
   }
 }

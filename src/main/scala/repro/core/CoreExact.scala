@@ -74,11 +74,6 @@ object CoreExact {
     }
     val kPP = math.max(kPrime, ceilDensity(best))
 
-    // h-cliques never share a vertex set, so grouping them finds nothing
-    val group: Array[Array[Int]] => Array[DensestFlow.Group] = psi match {
-      case _: Pattern.Clique => DensestFlow.ungrouped
-      case _                 => DensestFlow.group
-    }
     // Pruning 3: the components of the (k'', Ψ)-core (the (k', Ψ)-core unless
     // Pruning 2 raised k'') and their largest loads. As the best only grows,
     // only a component that misses the bound now can need a network; the
@@ -88,7 +83,7 @@ object CoreExact {
       else { val cs = g.components(dec.coreVertices(kPP)); (cs, store.loads(cs)._2) }
     def bounded(load: Long, b: Subgraph): Boolean = load * b.size <= h.toLong * b.instances
     lazy val lists = store.partition(comps.indices.map(c => if (bounded(load(c), best)) Array.emptyIntArray else comps(c)))
-    val search = new DensitySearch((nv, local) => new DensestFlow.Network(nv, group(local.toArrays), h), best)
+    val search = new DensitySearch((nv, local) => new DensestFlow.Network(nv, DensestFlow.grouping(psi)(local.toArrays), h), best)
     // positions in vs of the vertices of the (k, Ψ)-core
     def inCore(vs: Array[Int], k: Long): Array[Int] =
       java.util.stream.IntStream.range(0, vs.length).filter(i => core(vs(i)) >= k).toArray

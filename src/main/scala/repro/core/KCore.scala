@@ -19,8 +19,20 @@ object KCore {
   final case class Decomposition(core: Array[Int], order: Array[Int], rank: Array[Int]) {
     def kMax: Int = if (core.isEmpty) 0 else core.max
 
-    /** Local vertex ids of the k-core (vertices with core number >= k). */
-    def coreVertices(k: Int): Array[Int] = core.indices.filter(core(_) >= k).toArray
+    /** Local vertex ids of the k-core (vertices with core number >= k),
+      * ascending: vertices leave in nondecreasing core order. */
+    def coreVertices(k: Int): Array[Int] = suffix(order, core(_) >= k)
+  }
+
+  /** The suffix of a peel `order` where `inCore` starts to hold, sorted;
+    * it holds from there to the end and nowhere before. */
+  private[core] def suffix(order: Array[Int], inCore: Int => Boolean): Array[Int] = {
+    var lo = 0
+    var hi = order.length
+    while (lo < hi) { val mid = (lo + hi) >>> 1; if (inCore(order(mid))) hi = mid else lo = mid + 1 }
+    val vs = java.util.Arrays.copyOfRange(order, lo, order.length)
+    java.util.Arrays.sort(vs)
+    vs
   }
 
   /** Full core decomposition of `g`. */

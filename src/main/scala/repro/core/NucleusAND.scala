@@ -70,6 +70,7 @@ object NucleusAND {
     if (store.count == 0) return Subgraph.none(g)
     val core = coreNumbers(store)
     val kMax = core.max
-    store.subgraph(core.indices.filter(core(_) >= kMax).toArray)
+    val vs   = core.indices.filter(core(_) >= kMax).toArray
+    Subgraph(vs, store.countWithin(vs))
   }
 }

@@ -17,7 +17,9 @@ package repro.core
   * A subclass only lowers degrees, in [[removed]], and lowers each vertex
   * the removal touched once, by all it lost: one sift per touched vertex,
   * not one per lost instance. The peel keeps μ: deg(v) at v's removal
-  * counts exactly v's live instances, so μ falls by deg(v). A saturated μ
+  * counts exactly v's live instances, so μ falls by deg(v). It records μ of
+  * two residuals: the densest, and the one just before the removal that
+  * last raises k, which is the (k_max, Ψ)-core. A saturated μ
   * (Long.MaxValue, as [[repro.patterns.Combinatorics.choose]]) stays
   * unknown; a known μ bounds every degree, so none is saturated.
   *
@@ -47,13 +49,14 @@ abstract class Peel(deg: Array[Long]) {
     var bestDensity = if (n == 0) 0.0 else mu0.toDouble / n
     var bestMu      = mu0
     var bestSuffix  = 0
+    var kMaxMu      = mu0
     var done        = 0
     while (done < n) {
       val v = heap(0)
       size -= 1
       if (size > 0) { heap(0) = heap(size); siftDown(0) }
       pos(v) = -1
-      if (deg(v) > k) k = deg(v)
+      if (deg(v) > k) { k = deg(v); kMaxMu = mu }
       core(v) = k
       order(done) = v
       if (mu != Long.MaxValue) mu -= deg(v)
@@ -65,7 +68,7 @@ abstract class Peel(deg: Array[Long]) {
         if (dens > bestDensity) { bestDensity = dens; bestMu = mu; bestSuffix = done }
       }
     }
-    CliqueCore.Result(core, order, mu0, bestMu, bestSuffix)
+    CliqueCore.Result(core, order, mu0, bestMu, bestSuffix, kMaxMu)
   }
 
   private def less(a: Int, b: Int): Boolean =

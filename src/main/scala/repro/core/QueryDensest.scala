@@ -32,7 +32,7 @@ object QueryDensest {
     val pinned = query.toArray.map(java.util.Arrays.binarySearch(cand, _))
     val local  = store.restrict(cand)
     // seed: the smallest core containing Q is itself a Q-containing candidate
-    val search = new DensitySearch((nv, inst) => new DensestFlow.Network(nv, DensestFlow.group(inst.toArrays), h, pinned),
+    val search = new DensitySearch((nv, inst) => new DensestFlow.Network(nv, DensestFlow.grouping(psi)(inst.toArrays), h, pinned),
       Subgraph(cand, local.count.toLong))
     search.on(cand, local)
     // both start points are at most ρ_opt(Q), so a first probe that fails

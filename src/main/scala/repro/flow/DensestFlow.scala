@@ -1,13 +1,14 @@
 package repro.flow
 
+import repro.patterns.Pattern
+
 /** Flow-network construction for the densest-subgraph binary search.
   *
   * Implements the Algorithm-1 network (one node per instance) and the
   * `construct+` network (Algorithm 7: one node per GROUP of instances
   * sharing a vertex set, edge capacities scaled by |g|) — by Lemma 12 both
-  * have the same min-st-cut capacity. CoreExact groups every pattern but
-  * cliques (whose vertex sets never repeat), QueryDensest groups every
-  * pattern, and Exact, the paper's baseline, builds the ungrouped network.
+  * have the same min-st-cut capacity. CoreExact and QueryDensest group as
+  * [[grouping]] says; Exact, the paper's baseline, builds the ungrouped one.
   * No algorithm prunes nodes by Lemma 8; [[pruneLemma8]] and [[build]]
   * serve only the benchmark's flow probe.
   *
@@ -51,6 +52,11 @@ object DensestFlow {
 
   /** One group per instance — the ungrouped Algorithm-1 baseline network. */
   def ungrouped(instances: Array[Array[Int]]): Array[Group] = instances.map(Group(_, 1))
+
+  /** [[group]] for every pattern but h-cliques, whose vertex sets never
+    * repeat, so grouping them would find nothing: they stay [[ungrouped]]. */
+  def grouping(psi: Pattern): Array[Array[Int]] => Array[Group] =
+    if (psi.isInstanceOf[Pattern.Clique]) ungrouped else group
 
   /** Conservative Lemma-8 pruning: drop a group's node when removing its
     * vertices provably INCREASES the density of the residual graph. We lower

@@ -247,7 +247,7 @@ object Pattern {
     f(buf)
   }
 
-  /** Named lookup used by jobs / benches. */
+  /** Pattern by name; the tests look their patterns up here. */
   def byName(s: String): Pattern = s.toLowerCase match {
     case "edge"             => Edge
     case "triangle"         => Triangle
@@ -277,11 +277,15 @@ object Combinatorics {
     while (i <= kk) {
       acc = acc * (n - kk + i) / i
       if (acc > Long.MaxValue / 2.0) return Long.MaxValue
-      res = res * (n - kk + i) / i // exact because prefix products of C are integral
+      // res·(n−kk+i)/i is integral, so i/gcd(res, i) divides n−kk+i: no overflow
+      val d = gcd(res, i)
+      res = res / d * ((n - kk + i) / (i / d))
       i += 1
     }
     res
   }
+
+  private def gcd(a: Long, b: Long): Long = if (b == 0) a else gcd(b, a % b)
 
   /** a + b for non-negative a and b, saturating at Long.MaxValue like [[choose]]. */
   def satAdd(a: Long, b: Long): Long = if (a > Long.MaxValue - b) Long.MaxValue else a + b

@@ -20,7 +20,16 @@ import repro.graph.LocalGraph
   */
 object SpecialCores {
 
-  /** (k, x-star)-core decomposition without instance materialization. */
+  /** The one map from a pattern to its peel, for every approximation: the
+    * Appendix-D peels for stars and the diamond, [[CliqueCore.decompose]] otherwise. */
+  def decompose(g: LocalGraph, psi: Pattern): CliqueCore.Result = psi match {
+    case Pattern.Star(x) => decomposeStar(g, x)
+    case Pattern.Diamond => decomposeDiamond(g)
+    case _               => CliqueCore.decompose(g, psi)
+  }
+
+  /** (k, x-star)-core decomposition without instance materialization. Where
+    * the running μ has saturated, μ of the (k_max, x-star)-core is counted on it. */
   def decomposeStar(g: LocalGraph, x: Int): CliqueCore.Result = {
     require(x >= 2, s"x-star needs x >= 2, got $x")
     val n     = g.n
@@ -33,7 +42,7 @@ object SpecialCores {
     val pdeg  = star.degrees(g)
     import Combinatorics.{choose, satAdd}
 
-    new Peel(pdeg) {
+    val dec = new Peel(pdeg) {
       private var hits = 0
 
       private def lose(w: Int, by: Long): Unit = if (by > 0) {
@@ -72,6 +81,8 @@ object SpecialCores {
         hits = 0
       }
     }.run(star.count(g))
+    if (dec.kMaxInstances != Long.MaxValue) dec
+    else dec.copy(kMaxInstances = star.count(g.induced(dec.kMaxCoreVertices)))
   }
 
   /** (k, diamond)-core decomposition (diamond = C4, Appendix D.2). */

@@ -200,7 +200,8 @@ object TestUtil {
   /** Reference (k, Ψ)-peel, O(n · |instances|): at each step recount every
     * live vertex's Ψ-degree over the live instances and remove the one with
     * the smallest (degree, id); an instance dies with its first removed
-    * member.
+    * member. μ of the (k_max, Ψ)-core is recounted at the end over the
+    * instances whose members all have core number k_max.
     */
   def referencePeel(n: Int, instances: Array[Array[Int]]): CliqueCore.Result = {
     val alive       = Array.fill(n)(true)
@@ -231,12 +232,14 @@ object TestUtil {
         bestSuffix = step + 1
       }
     }
-    CliqueCore.Result(core, order, instances.length.toLong, bestMu, bestSuffix)
+    val kMax   = core.maxOption.getOrElse(0L)
+    val kMaxMu = instances.count(_.forall(core(_) >= kMax)).toLong
+    CliqueCore.Result(core, order, instances.length.toLong, bestMu, bestSuffix, kMaxMu)
   }
 
   /** Every field of a peel's result, for comparing two peels whole. */
-  def peelFields(r: CliqueCore.Result): (Seq[Long], Seq[Int], Int, Long, Long) =
-    (r.core.toSeq, r.order.toSeq, r.bestSuffix, r.bestInstances, r.totalInstances)
+  def peelFields(r: CliqueCore.Result): (Seq[Long], Seq[Int], Int, Long, Long, Long) =
+    (r.core.toSeq, r.order.toSeq, r.bestSuffix, r.bestInstances, r.totalInstances, r.kMaxInstances)
 
   /** The most instances one removal of a peel in `order` kills that hold
     * the same other vertex: an instance dies with its first removed member. */

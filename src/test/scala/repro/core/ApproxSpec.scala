@@ -213,6 +213,35 @@ class ApproxSpec extends AnyFunSuite {
     }
   }
 
+  // ---- stars and the diamond: the Appendix-D peels against the store ----
+
+  for (psi <- Seq(Pattern.Star(2), Pattern.Star(3), Pattern.Diamond);
+       (name, g) <- (1 to 3).map(seed => s"G(30, 0.3) seed $seed" -> TestUtil.randomGraph(30, 0.3, seed)) ++
+                    Seq("two hubs, 20 leaves" -> TestUtil.twoHubs(20))) {
+    test(s"PeelApp and IncApp equal the store route (Ψ=${psi.name}, $name)") {
+      val inst = psi.instances(g)
+      val ref  = CliqueCore.decomposeInstances(g.n, inst)
+      assert(ref.totalInstances > 0)
+      val peel = PeelApp.run(g, psi)
+      assert(peel.vertices.toSeq == ref.bestResidualVertices.toSeq && peel.instances == ref.bestInstances)
+      val inc  = IncApp.run(g, psi)
+      assert(inc.vertices.toSeq == ref.kMaxCoreVertices.toSeq)
+      assert(inc.instances == ref.kMaxInstances && inc.instances == Densest.countWithin(inst, g.n, inc.vertices))
+    }
+  }
+
+  test("PeelApp and IncApp return on 8-stars too many to list (two hubs, 900 leaves)") {
+    // C(901, 8) > 4.6e18 stars: the closed-form peel runs, a listing would not
+    val g   = TestUtil.twoHubs(900)
+    val psi = Pattern.Star(8)
+    val dec = repro.patterns.SpecialCores.decomposeStar(g, 8)
+    assert(psi.count(g) == Long.MaxValue)
+    assert(PeelApp.run(g, psi).vertices.toSeq == dec.bestResidualVertices.toSeq)
+    val inc = IncApp.run(g, psi)
+    assert(inc.vertices.toSeq == dec.kMaxCoreVertices.toSeq && dec.kMax > 0)
+    assert(inc.instances == psi.count(g.induced(inc.vertices)))
+  }
+
   test("CoreApp orders vertices as a stable sort by bound descending, saturated bounds first") {
     val rnd = new scala.util.Random(3)
     for (n <- Seq(0, 1, 7, 200)) {

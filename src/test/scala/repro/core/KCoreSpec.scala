@@ -81,6 +81,16 @@ class KCoreSpec extends AnyFunSuite {
     assert(core.n == 5 && core.m == 10)
   }
 
+  test("coreVertices equals the filter over core numbers on random, empty and one-vertex graphs") {
+    val graphs = (1 to 6).map(seed => TestUtil.randomGraph(40, 0.1 * seed, seed)) ++
+      Seq(LocalGraph.fromEdges(Nil), LocalGraph.fromEdges(Nil, Seq(7L)))
+    for (g <- graphs) {
+      val dec = KCore.decompose(g)
+      for (k <- 0 to dec.kMax + 1)
+        assert(dec.coreVertices(k).toSeq == dec.core.indices.filter(dec.core(_) >= k), s"$g k=$k")
+    }
+  }
+
   test("empty graph decomposes to nothing") {
     val dec = KCore.decompose(LocalGraph.fromEdges(Nil))
     assert(dec.core.isEmpty && dec.kMax == 0)

@@ -20,6 +20,48 @@ class PatternSpec extends AnyFunSuite {
     assert(choose(52, 5) == 2598960L)
   }
 
+  /** choose(n, k) must be C(n, k) below the saturation point, Long.MaxValue
+    * above it, and either within round-off of it. */
+  private def assertChoose(n: Int, k: Int, exact: BigInt): Unit = {
+    val sat = BigDecimal(Long.MaxValue / 2.0)
+    val got = choose(n, k)
+    if (BigDecimal(exact) < sat * (1 - 1e-9)) assert(got == exact, s"C($n, $k)")
+    else if (BigDecimal(exact) > sat * (1 + 1e-9)) assert(got == Long.MaxValue, s"C($n, $k)")
+    else assert(got == exact || got == Long.MaxValue, s"C($n, $k)")
+  }
+
+  test("choose equals the BigInt binomial for every 0 <= k <= n <= 1000") {
+    var row = Array(BigInt(1))
+    for (n <- 0 to 1000) {
+      for (k <- 0 to n) assertChoose(n, k, row(k))
+      row = Array.tabulate(n + 2)(k => (if (k > 0) row(k - 1) else BigInt(0)) + (if (k <= n) row(k) else BigInt(0)))
+    }
+  }
+
+  test("choose does not overflow just below saturation") {
+    def exact(n: Int, k: Int) = (1 to k).foldLeft(BigInt(1))((acc, i) => acc * (n - k + i) / i)
+    // both ends of each range of n where the product overflowed first, and
+    // points inside them
+    val cases = Seq((62, 31), (685, 8), (700, 8), (813, 8), (3219, 6), (3500, 6), (3864, 6),
+                    (11725, 5), (12000, 5), (14082, 5), (86252, 4), (90000, 4), (102570, 4),
+                    (2642247, 3), (2700000, 3), (3024617, 3))
+    for ((n, k) <- cases) {
+      assert(choose(n, k) > 0, s"C($n, $k)")
+      assertChoose(n, k, exact(n, k))
+    }
+    assert(choose(62, 31) == 465428353255261088L)
+  }
+
+  test("8-star degrees are Eq. 25 in BigInt where C(701, 8) used to overflow (two hubs, 700 leaves)") {
+    val g   = TestUtil.twoHubs(700)
+    val deg = Pattern.Star(8).degrees(g)
+    def c(n: Int, k: Int) = if (n < k) BigInt(0) else (1 to k).foldLeft(BigInt(1))((acc, i) => acc * (n - k + i) / i)
+    for (v <- 0 until g.n) {
+      val eq25 = TestUtil.adj(g, v).foldLeft(c(g.degree(v), 8))((t, u) => t + c(g.degree(u) - 1, 7))
+      assert(deg(v) >= 0 && BigInt(deg(v)) == eq25.min(BigInt(Long.MaxValue)), s"v=$v")
+    }
+  }
+
   test("2-star count on a star graph is C(t, 2)") {
     for (t <- 2 to 6)
       assert(Pattern.Star(2).count(TestUtil.star(t)) == choose(t, 2), s"t=$t")

@@ -2,7 +2,7 @@ package repro.patterns
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestUtil
-import repro.core.{CliqueCore, CoreApp}
+import repro.core.{CliqueCore, CoreApp, Densest}
 import repro.graph.LocalGraph
 
 /** Appendix-D optimized star / diamond decompositions must be
@@ -158,15 +158,6 @@ class SpecialCoresSpec extends AnyFunSuite {
     assert(a.kMax > 0)
   }
 
-  /** Every field of a peel's result. */
-  private def fields(r: CliqueCore.Result) =
-    (r.core.toSeq, r.order.toSeq, r.bestSuffix, r.bestInstances, r.totalInstances)
-
-  private def closedForm(g: LocalGraph, psi: Pattern): CliqueCore.Result = psi match {
-    case Pattern.Star(x) => SpecialCores.decomposeStar(g, x)
-    case _               => SpecialCores.decomposeDiamond(g)
-  }
-
   private val inputs: Seq[(String, () => LocalGraph)] =
     (1 to 3).map(seed => s"G(30, 0.3) seed $seed" -> (() => TestUtil.randomGraph(30, 0.3, seed))) ++
       Seq("three hubs" -> (() => threeHubs), "dense G(60, 0.5)" -> (() => TestUtil.randomGraph(60, 0.5, 7)))
@@ -176,14 +167,15 @@ class SpecialCoresSpec extends AnyFunSuite {
       val g = graph()
       val b = CliqueCore.decomposeInstances(g.n, psi.instances(g))
       assert(b.totalInstances > 0)
-      assert(fields(closedForm(g, psi)) == fields(b))
+      assert(TestUtil.peelFields(SpecialCores.decompose(g, psi)) == TestUtil.peelFields(b))
     }
   }
 
   /** Reference x-star peel, O(n·m): before each removal, recount Eq. 25 for
     * every live vertex from the residual edge-degrees and remove the one of
     * smallest (degree, id). μ is recounted too, but once saturated it stays
-    * unknown (Long.MaxValue), as in [[repro.core.Peel]].
+    * unknown (Long.MaxValue), as in [[repro.core.Peel]]. μ of the
+    * (k_max, x-star)-core is counted at the end from the core's own degrees.
     */
   private def referenceStarPeel(g: LocalGraph, x: Int): CliqueCore.Result = {
     import Combinatorics.{choose, satAdd}
@@ -213,13 +205,39 @@ class SpecialCoresSpec extends AnyFunSuite {
         bestSuffix = step + 1
       }
     }
-    CliqueCore.Result(core, order, mu0, bestMu, bestSuffix)
+    val inCore = core.map(_ >= k)
+    val kMaxMu = (0 until n).filter(inCore).foldLeft(0L)((t, v) => satAdd(t, choose(TestUtil.adj(g, v).count(inCore), x)))
+    CliqueCore.Result(core, order, mu0, bestMu, bestSuffix, kMaxMu)
+  }
+
+  private val names = Seq("edge", "triangle", "4-clique", "5-clique", "6-clique", "2-star", "3-star",
+                          "4-star", "diamond", "2-triangle", "4-path", "tailed-triangle")
+
+  for (name <- names; seed <- 1 to 3) {
+    test(s"$name decomposition reports μ of its (k_max, Ψ)-core, and every field equals the reference peel's (seed=$seed)") {
+      val psi  = Pattern.byName(name)
+      val g    = TestUtil.randomGraph(16, 0.4, seed)
+      val inst = TestUtil.generic(psi)(g)
+      val ref  = TestUtil.referencePeel(g.n, inst)
+      for (dec <- Seq(SpecialCores.decompose(g, psi), CliqueCore.decompose(g, psi))) {
+        assert(dec.kMaxInstances == Densest.countWithin(inst, g.n, dec.kMaxCoreVertices))
+        assert(TestUtil.peelFields(dec) == TestUtil.peelFields(ref))
+        assert(dec.kMaxCore.vertices.toSeq == dec.kMaxCoreVertices.toSeq)
+      }
+    }
+  }
+
+  test("a graph with no instances has its whole vertex set as (0, Ψ)-core, with μ 0") {
+    for (psi <- Seq(Pattern.Triangle, Pattern.Star(3), Pattern.Diamond)) {
+      val dec = SpecialCores.decompose(TestUtil.path(3), psi)
+      assert(dec.kMax == 0 && dec.kMaxCore.size == 3 && dec.kMaxInstances == 0, psi.name)
+    }
   }
 
   for ((leaves, x) <- Seq((900, 6), (900, 7), (900, 8), (2000, 6), (2000, 7))) {
     test(s"$x-star closed-form peel equals the recounting reference on every Result field (two hubs, $leaves leaves each)") {
       val g = twoHubs(leaves)
-      assert(fields(SpecialCores.decomposeStar(g, x)) == fields(referenceStarPeel(g, x)))
+      assert(TestUtil.peelFields(SpecialCores.decomposeStar(g, x)) == TestUtil.peelFields(referenceStarPeel(g, x)))
     }
   }
 }
