@@ -23,11 +23,10 @@ object CoreApp {
 
   /** Upper bound γ(v, Ψ) on the clique/pattern-core number of every vertex. */
   def gamma(g: LocalGraph, psi: Pattern): Array[Long] = psi match {
-    case Pattern.Clique(2) => Array.tabulate(g.n)(v => g.degree(v).toLong)
-    case Pattern.Clique(h) =>
+    case Pattern.Clique(h) if h > 2 =>
       val core = KCore.decompose(g).core
-      Array.tabulate(g.n)(v => Combinatorics.choose(core(v), h - 1))
-    case _                 => psi.degrees(g) // closed form for stars and the diamond, O(n·d^2)
+      java.util.stream.IntStream.range(0, g.n).mapToLong(v => Combinatorics.choose(core(v), h - 1)).toArray
+    case _ => psi.degrees(g) // closed forms for edges, stars and the diamond: O(n) to O(n·d^2)
   }
 
   /** Returns (k_max, vertex set of the (k_max, Ψ)-core in g-local ids,
@@ -42,7 +41,7 @@ object CoreApp {
     * vertex outside W has a bound below the best k_max seen. From the second
     * round on, G[W] first loses every vertex whose [[gamma]] in G[W] is below
     * that k_max. Returns (k_max, the (k_max, Ψ)-core in g-local ids, μ of
-    * that core), μ as the round that found the core reported it.
+    * that core) as [[SpecialCores.decompose]] reported them for G[W].
     */
   private[core] def topDown(g: LocalGraph, psi: Pattern, bound: Array[Long],
                             w0: Int, grow: Int => Int): (Long, Array[Int], Long) = {
@@ -65,8 +64,8 @@ object CoreApp {
           if (keep.length == gw.n) (gw, wMap)
           else { val (s, m) = gw.inducedWithMap(keep); (s, m.map(wMap)) }
         }
-      val (subKMax, core) = kMaxCoreOf(sub, psi)
-      if (subKMax >= kMax) { kMax = subKMax; best = Subgraph(core.vertices.map(backMap), core.instances) }
+      val dec = SpecialCores.decompose(sub, psi)
+      if (dec.kMax >= kMax) { kMax = dec.kMax; best = Subgraph(dec.kMaxCoreVertices.map(backMap), dec.kMaxInstances) }
       // stopping criterion (line 4): every vertex outside W has a bound < k_max
       done = w >= n || bound(order(w)) < kMax
       if (!done) w = math.min(n, grow(w))
@@ -92,20 +91,5 @@ object CoreApp {
     v = 0
     while (v < n) { order(v) = key(v).toInt; v += 1 }
     order
-  }
-
-  /** (k_max, (k_max, Ψ)-core with its μ) of `g` by a full decomposition.
-    * For edges the classical O(m) bin-sort decomposition IS the (k, Ψ)-core
-    * decomposition, and μ is the core's edge count; every other pattern
-    * takes its core and μ from [[SpecialCores.decompose]].
-    */
-  private def kMaxCoreOf(g: LocalGraph, psi: Pattern): (Long, Subgraph) = psi match {
-    case Pattern.Clique(2) =>
-      val dec  = KCore.decompose(g)
-      val core = dec.coreVertices(dec.kMax)
-      (dec.kMax.toLong, Subgraph(core, g.induced(core).m))
-    case _ =>
-      val dec = SpecialCores.decompose(g, psi)
-      (dec.kMax, dec.kMaxCore)
   }
 }

@@ -17,8 +17,7 @@ object EMcore {
   /** Returns (k_max, vertex set of the k_max-core in g-local ids). */
   def kMaxCore(g: LocalGraph): (Int, Array[Int]) = {
     val block        = math.max(16, g.n / 8)
-    val deg          = Array.tabulate(g.n)(g.degree(_).toLong)
-    val (k, core, _) = CoreApp.topDown(g, Pattern.Edge, deg, block, _ + block)
+    val (k, core, _) = CoreApp.topDown(g, Pattern.Edge, Pattern.Edge.degrees(g), block, _ + block)
     (k.toInt, core)
   }
 }

@@ -57,10 +57,10 @@ object NucleusAND {
 
   /** h-index of a multiset: max k with at least k values >= k. */
   def hIndex(vals: Array[Long]): Long = {
-    val sorted = vals.sorted(Ordering.Long.reverse)
-    var h = 0L
-    var i = 0
-    while (i < sorted.length && sorted(i) >= i + 1) { h = i + 1; i += 1 }
+    val sorted = vals.clone()
+    java.util.Arrays.sort(sorted) // ascending: the (h + 1)-th largest is sorted(length - 1 - h)
+    var h = 0
+    while (h < sorted.length && sorted(sorted.length - 1 - h) >= h + 1) h += 1
     h
   }
 

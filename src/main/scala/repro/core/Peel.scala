@@ -37,6 +37,9 @@ abstract class Peel(deg: Array[Long]) {
     * [[lower]] every live vertex by the instances it shared with `v`. */
   protected def removed(v: Int): Unit
 
+  /** Whether `v` is still in the heap: false from its [[removed]] call on. */
+  final def live(v: Int): Boolean = pos(v) >= 0
+
   /** deg(v) ← deg(v) − by for a live vertex `v`; degrees never rise. */
   final def lower(v: Int, by: Long): Unit = { deg(v) -= by; siftUp(pos(v)) }
 

@@ -15,22 +15,6 @@ import scala.util.Random
   */
 object SynthGraphs {
 
-  /** Erdős–Rényi G(n, p). */
-  def er(n: Int, p: Double, seed: Long = 1): LocalGraph = {
-    val rnd   = new Random(seed)
-    val edges = mutable.ArrayBuffer.empty[(Long, Long)]
-    var u = 0
-    while (u < n) {
-      var v = u + 1
-      while (v < n) {
-        if (rnd.nextDouble() < p) edges += ((u.toLong, v.toLong))
-        v += 1
-      }
-      u += 1
-    }
-    LocalGraph.fromEdges(edges, (0L until n.toLong))
-  }
-
   /** Erdős–Rényi with a target edge count (sampled without replacement).
     *
     * @throws IllegalArgumentException if m exceeds the n(n − 1)/2 pairs
@@ -61,8 +45,10 @@ object SynthGraphs {
   /** Chung–Lu power-law: expected degree of rank-i vertex ∝ (i+1)^(-1/(alpha-1)),
     * scaled so the expected edge count is ~m. Produces heavy-tailed degrees
     * like the paper's real graphs (Appendix B reports alpha in [2.28, 2.98]).
+    * An alpha <= 1, whose exponent is undefined or positive, is rejected.
     */
   def powerLaw(n: Int, m: Int, alpha: Double = 2.5, seed: Long = 1): LocalGraph = {
+    if (!(alpha > 1)) throw new IllegalArgumentException(s"power-law alpha must be > 1, got $alpha")
     val rnd   = new Random(seed)
     val gamma = 1.0 / (alpha - 1.0)
     val w     = Array.tabulate(n)(i => math.pow(i + 1.0, -gamma))
@@ -103,9 +89,11 @@ object SynthGraphs {
     LocalGraph.fromEdges(edges, (0L until n.toLong))
   }
 
-  /** R-MAT recursive-matrix generator (a=0.57 b=0.19 c=0.19 d=0.05 defaults). */
-  def rmat(scale: Int, m: Int, seed: Long = 1,
-           a: Double = 0.57, b: Double = 0.19, c: Double = 0.19): LocalGraph = {
+  /** R-MAT recursive-matrix generator (a=0.57 b=0.19 c=0.19 d=0.05) on
+    * 2^scale vertices; a scale outside 1..30 (2^scale overflows) is rejected. */
+  def rmat(scale: Int, m: Int, seed: Long = 1): LocalGraph = {
+    if (scale < 1 || scale > 30) throw new IllegalArgumentException(s"R-MAT scale must be in 1..30, got $scale")
+    val a = 0.57; val b = 0.19; val c = 0.19
     val rnd = new Random(seed)
     val n   = 1 << scale
     distinctPairs(n, m, m * 20) { () =>
@@ -155,9 +143,13 @@ object SynthGraphs {
   /** Description of a stand-in: the paper's dataset it replaces + sizes. */
   final case class StandIn(name: String, paperN: Long, paperM: Long, g: LocalGraph)
 
-  /** Named stand-in registry (see DESIGN.md for the mapping rationale). */
+  /** Named stand-in registry (see DESIGN.md for the mapping rationale). A
+    * scale that is not finite and > 0, or a scaled size above Int.MaxValue, is rejected. */
   def standIn(name: String, scale: Double = 1.0, seed: Long = 11): StandIn = {
-    def sz(x: Long): Int = math.max(16, (x * scale).toLong).toInt
+    if (!(scale > 0) || scale.isInfinite) throw new IllegalArgumentException(s"stand-in scale must be finite and > 0, got $scale")
+    def sz(x: Long): Int =
+      if (x * scale <= Int.MaxValue) math.max(16, (x * scale).toInt)
+      else throw new IllegalArgumentException(s"$name at scale $scale has a size ${x * scale} above ${Int.MaxValue}")
     name match {
       // ---- small graphs (all algorithms) ----
       // Yeast: sparse PPI net with a small moderately-dense blob (its paper

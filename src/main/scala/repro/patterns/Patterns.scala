@@ -1,5 +1,6 @@
 package repro.patterns
 
+import java.util.stream.IntStream
 import repro.cliques.CliqueEnum
 import repro.graph.LocalGraph
 
@@ -29,7 +30,7 @@ sealed abstract class Pattern(val name: String, val numVertices: Int) extends Se
   }
 
   /** Pattern-degree deg_G(v, Ψ) per vertex (Definition 9). Overridden with
-    * closed-form counting for stars and the diamond (Appendix D).
+    * closed-form counting for edges, stars and the diamond (Appendix D).
     */
   def degrees(g: LocalGraph): Array[Long] = {
     val d = new Array[Long](g.n)
@@ -56,6 +57,12 @@ object Pattern {
   final case class Clique(h: Int) extends Pattern(s"$h-clique", h) {
     require(h >= 2)
     def forEach(g: LocalGraph)(f: Array[Int] => Unit): Unit = CliqueEnum.forEach(g, h)(f)
+
+    /** An edge's pattern-degree is its graph degree, and μ is m. */
+    override def degrees(g: LocalGraph): Array[Long] =
+      if (h > 2) super.degrees(g) else IntStream.range(0, g.n).mapToLong(g.degree(_)).toArray
+
+    override def count(g: LocalGraph): Long = if (h > 2) super.count(g) else g.m
   }
 
   val Edge: Clique     = Clique(2)
@@ -105,12 +112,12 @@ object Pattern {
 
     /** Eq. 25 for every vertex of `g`. */
     override def degrees(g: LocalGraph): Array[Long] = {
-      val d = Array.tabulate(g.n)(g.degree)
-      Array.tabulate(g.n)(degree(g, d, _ => true, _))
+      val d = IntStream.range(0, g.n).map(g.degree(_)).toArray
+      IntStream.range(0, g.n).mapToLong(degree(g, d, _ => true, _)).toArray
     }
 
     override def count(g: LocalGraph): Long =
-      (0 until g.n).foldLeft(0L)((acc, v) => Combinatorics.satAdd(acc, Combinatorics.choose(g.degree(v), tails)))
+      IntStream.range(0, g.n).mapToLong(v => Combinatorics.choose(g.degree(v), tails)).reduce(0L, Combinatorics.satAdd(_, _))
   }
 
   /** Diamond = the 4-cycle C4 (per Appendix D.2 its pattern-degree counts
@@ -164,10 +171,10 @@ object Pattern {
     override def degrees(g: LocalGraph): Array[Long] = {
       val w   = new Wedges(g)
       val all = Array.fill(g.n)(true)
-      Array.tabulate(g.n) { v => w.around(v, all, -1); w.cycles }
+      IntStream.range(0, g.n).mapToLong { v => w.around(v, all, -1); w.cycles }.toArray
     }
 
-    override def count(g: LocalGraph): Long = degrees(g).sum / 4
+    override def count(g: LocalGraph): Long = java.util.Arrays.stream(degrees(g)).sum / 4
   }
 
   /** 2-triangle: two triangles sharing an edge (4 vertices, 5 edges). */

@@ -5,13 +5,13 @@ import repro.graph.LocalGraph
 
 /** Appendix-D optimized (k, Ψ)-core decompositions for special patterns.
   *
-  * For x-stars and the diamond (C4), pattern-degrees have closed forms over
-  * the residual graph, so the peel never materializes instances. Removing v
-  * kills only instances through v, and one pass over the live 2-paths from
-  * v finds what each vertex loses; the shared [[Peel]] lowers those degrees
-  * and keeps μ. A removal costs O(Σ_{u∈N(v)} deg(u)), which takes the
-  * decomposition from O(n·d^x) (resp. O(n·d^3)) to O(n·d^2), as in
-  * Appendix D.
+  * For edges, x-stars and the diamond (C4), pattern-degrees have closed
+  * forms over the residual graph, so the peel never materializes instances.
+  * An edge's pattern-degree is the residual degree. For stars and the
+  * diamond, removing v kills only instances through v, and one pass over the
+  * live 2-paths from v finds what each vertex loses; the shared [[Peel]]
+  * lowers those degrees and keeps μ. A removal costs O(Σ_{u∈N(v)} deg(u)),
+  * which takes the decomposition from O(n·d^x) (resp. O(n·d^3)) to O(n·d^2).
   *
   * With the generic peel's (degree, id) tie rule, core numbers, removal
   * order and best residual suffix match [[CliqueCore.decompose]] over the
@@ -20,13 +20,24 @@ import repro.graph.LocalGraph
   */
 object SpecialCores {
 
-  /** The one map from a pattern to its peel, for every approximation: the
-    * Appendix-D peels for stars and the diamond, [[CliqueCore.decompose]] otherwise. */
+  /** The one map from a pattern to its peel, for every approximation: the closed-form
+    * peels for edges, stars and the diamond, [[CliqueCore.decompose]] otherwise. */
   def decompose(g: LocalGraph, psi: Pattern): CliqueCore.Result = psi match {
-    case Pattern.Star(x) => decomposeStar(g, x)
-    case Pattern.Diamond => decomposeDiamond(g)
-    case _               => CliqueCore.decompose(g, psi)
+    case Pattern.Clique(2) => decomposeEdges(g)
+    case Pattern.Star(x)   => decomposeStar(g, x)
+    case Pattern.Diamond   => decomposeDiamond(g)
+    case _                 => CliqueCore.decompose(g, psi)
   }
+
+  /** The classical k-cores as Charikar's greedy peel over the CSR graph, O(m log n):
+    * removing v lowers each live neighbour by one. */
+  def decomposeEdges(g: LocalGraph): CliqueCore.Result =
+    new Peel(Pattern.Edge.degrees(g)) {
+      protected def removed(v: Int): Unit = {
+        var i = g.off(v)
+        while (i < g.off(v + 1)) { if (live(g.nbr(i))) lower(g.nbr(i), 1); i += 1 }
+      }
+    }.run(g.m)
 
   /** (k, x-star)-core decomposition without instance materialization. Where
     * the running μ has saturated, μ of the (k_max, x-star)-core is counted on it. */
@@ -34,8 +45,7 @@ object SpecialCores {
     require(x >= 2, s"x-star needs x >= 2, got $x")
     val n     = g.n
     val nbr   = g.nbr
-    val alive = Array.fill(n)(true)
-    val d     = Array.tabulate(n)(g.degree) // residual edge-degree
+    val d     = java.util.stream.IntStream.range(0, n).map(g.degree(_)).toArray // residual edge-degree
     val loss  = new Array[Long](n)          // what each vertex loses with the current removal
     val hit   = new Array[Int](n)           // the vertices with loss > 0
     val star  = Pattern.Star(x)
@@ -51,7 +61,6 @@ object SpecialCores {
       }
 
       protected def removed(v: Int): Unit = {
-        alive(v) = false
         // u ∈ N(v) loses the stars centered on u with tail v and those
         // centered on v with tail u; w ∈ N(u)∖{v} those centered on u with
         // tails v and w (d_u is read before it falls)
@@ -59,12 +68,12 @@ object SpecialCores {
         var i      = g.off(v)
         while (i < g.off(v + 1)) {
           val u = nbr(i)
-          if (alive(u)) {
+          if (live(u)) {
             lose(u, satAdd(choose(d(u) - 1, x - 1), asTail))
             val both = choose(d(u) - 2, x - 2)
             if (both > 0) {
               var j = g.off(u)
-              while (j < g.off(u + 1)) { if (nbr(j) != v && alive(nbr(j))) lose(nbr(j), both); j += 1 }
+              while (j < g.off(u + 1)) { if (live(nbr(j))) lose(nbr(j), both); j += 1 }
             }
             d(u) -= 1
           }
@@ -74,7 +83,7 @@ object SpecialCores {
         i = 0
         while (i < hits) {
           val w = hit(i)
-          lower(w, if (pdeg(w) == Long.MaxValue) Long.MaxValue - star.degree(g, d, alive(_), w) else loss(w))
+          lower(w, if (pdeg(w) == Long.MaxValue) Long.MaxValue - star.degree(g, d, live, w) else loss(w))
           loss(w) = 0
           i += 1
         }
@@ -115,6 +124,6 @@ object SpecialCores {
           i += 1
         }
       }
-    }.run(pdeg.sum / 4)
+    }.run(java.util.Arrays.stream(pdeg).sum / 4)
   }
 }

@@ -3,6 +3,7 @@ package repro.core
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestUtil
 import repro.data.SynthGraphs
+import repro.graph.LocalGraph
 import repro.patterns.Pattern
 
 class ApproxSpec extends AnyFunSuite {
@@ -227,6 +228,43 @@ class ApproxSpec extends AnyFunSuite {
       val inc  = IncApp.run(g, psi)
       assert(inc.vertices.toSeq == ref.kMaxCoreVertices.toSeq)
       assert(inc.instances == ref.kMaxInstances && inc.instances == Densest.countWithin(inst, g.n, inc.vertices))
+    }
+  }
+
+  // ---- edges: the closed-form peel against the store ----
+
+  private val edgeInputs: Seq[(String, () => LocalGraph)] =
+    (1 to 3).map(seed => s"G(30, 0.3) seed $seed" -> (() => TestUtil.randomGraph(30, 0.3, seed))) ++ Seq(
+      "two hubs, 20 leaves"              -> (() => TestUtil.twoHubs(20)),
+      "K12 planted in G(60, 0.1)"        -> (() => SynthGraphs.plantClique(TestUtil.randomGraph(60, 0.1, 4), 12, 4)),
+      "a triangle and isolated vertices" -> (() => LocalGraph.fromEdges(Seq((0L, 1L), (1L, 2L), (0L, 2L)), 0L until 6L)),
+      "one edge"                         -> (() => LocalGraph.fromEdges(Seq((0L, 1L)))),
+      "the empty graph"                  -> (() => LocalGraph.fromEdges(Nil)))
+
+  for ((name, graph) <- edgeInputs) {
+    test(s"PeelApp, IncApp, CoreApp and EMcore with Ψ = edge equal the store route ($name)") {
+      val g    = graph()
+      val psi  = Pattern.Edge
+      val ref  = CliqueCore.decomposeInstances(g.n, psi.instances(g))
+      val peel = PeelApp.run(g, psi)
+      val inc  = IncApp.run(g, psi)
+      if (ref.totalInstances == 0) {
+        val none = Subgraph.none(g)
+        for (r <- Seq(peel, inc)) assert(r.vertices.toSeq == none.vertices.toSeq && r.instances == 0)
+      } else {
+        assert(peel.vertices.toSeq == ref.bestResidualVertices.toSeq && peel.instances == ref.bestInstances)
+        assert(inc.vertices.toSeq == ref.kMaxCoreVertices.toSeq && inc.instances == ref.kMaxInstances)
+      }
+      val (k, vs, mu) = CoreApp.kMaxCore(g, psi)
+      assert(k == ref.kMax && vs.sorted.toSeq == ref.kMaxCoreVertices.toSeq)
+      assert(mu == ref.kMaxInstances && mu == g.induced(vs).m)
+      // EMcore returns no μ: its search, the degree bound grown in blocks, does
+      val block        = math.max(16, g.n / 8)
+      val (ke, ve)     = EMcore.kMaxCore(g)
+      val (kt, vt, mt) = CoreApp.topDown(g, psi, psi.degrees(g), block, _ + block)
+      assert(ke == ref.kMax && ve.sorted.toSeq == ref.kMaxCoreVertices.toSeq)
+      assert(kt == ke && vt.toSeq == ve.toSeq)
+      assert(mt == ref.kMaxInstances && mt == g.induced(ve).m)
     }
   }
 

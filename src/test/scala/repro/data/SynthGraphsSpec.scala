@@ -8,13 +8,13 @@ import repro.patterns.Pattern
 class SynthGraphsSpec extends AnyFunSuite {
 
   test("er is deterministic in (n, p, seed)") {
-    val a = SynthGraphs.er(50, 0.1, 5)
-    val b = SynthGraphs.er(50, 0.1, 5)
+    val a = TestUtil.randomGraph(50, 0.1, 5)
+    val b = TestUtil.randomGraph(50, 0.1, 5)
     assert(a.edgesExternal == b.edgesExternal)
   }
 
   test("er edge count is near expectation") {
-    val g = SynthGraphs.er(200, 0.05, 1)
+    val g = TestUtil.randomGraph(200, 0.05, 1)
     val exp = 0.05 * 200 * 199 / 2
     assert(math.abs(g.m - exp) < 4 * math.sqrt(exp))
   }
@@ -116,9 +116,41 @@ class SynthGraphsSpec extends AnyFunSuite {
     intercept[IllegalArgumentException](SynthGraphs.standIn("nope"))
   }
 
+  for (scale <- Seq(0.0, -1.0, Double.NaN, Double.PositiveInfinity, Double.NegativeInfinity)) {
+    test(s"standIn rejects scale $scale, naming it") {
+      val e = intercept[IllegalArgumentException](SynthGraphs.standIn("Yeast", scale))
+      assert(e.getMessage.contains(scale.toString), e.getMessage)
+    }
+  }
+
+  test("standIn rejects a scaled size above Int.MaxValue instead of wrapping it") {
+    // UK-2002's 298,113,762 edges at scale 10 are 2,981,137,620 > 2^31 - 1
+    val e = intercept[IllegalArgumentException](SynthGraphs.standIn("UK-2002", 10.0))
+    assert(e.getMessage.contains("2.98113762E9"), e.getMessage)
+  }
+
+  for (scale <- Seq(0, -3, 31, 32)) {
+    test(s"rmat rejects scale $scale, naming it") {
+      val e = intercept[IllegalArgumentException](SynthGraphs.rmat(scale, 10))
+      assert(e.getMessage.contains(scale.toString), e.getMessage)
+    }
+  }
+
+  test("rmat accepts scale 1, the smallest") {
+    val g = SynthGraphs.rmat(1, 1)
+    assert(g.n == 2 && g.m == 1)
+  }
+
+  for (alpha <- Seq(1.0, 0.5, -2.0, Double.NaN)) {
+    test(s"powerLaw rejects alpha $alpha, naming it") {
+      val e = intercept[IllegalArgumentException](SynthGraphs.powerLaw(100, 200, alpha))
+      assert(e.getMessage.contains(alpha.toString), e.getMessage)
+    }
+  }
+
   test("toDF yields canonical src<dst rows") {
     val spark = repro.SparkSpec.shared
-    val g  = SynthGraphs.er(30, 0.2, 8)
+    val g  = TestUtil.randomGraph(30, 0.2, 8)
     val df = SynthGraphs.toDF(spark, g).collect()
     assert(df.length.toLong == g.m)
     assert(df.forall(r => r.getLong(0) < r.getLong(1)))

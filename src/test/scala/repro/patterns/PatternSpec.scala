@@ -248,4 +248,18 @@ class PatternSpec extends AnyFunSuite {
       assert(inst.length == mu && emissionHash(inst) == hash)
     }
   }
+
+  private val edgeInputs: Seq[(String, LocalGraph)] =
+    (1 to 4).map(seed => s"G(20, 0.3) seed $seed" -> TestUtil.randomGraph(20, 0.3, seed)) ++ Seq(
+      "the empty graph"              -> LocalGraph.fromEdges(Nil),
+      "a path and isolated vertices" -> LocalGraph.fromEdges(Seq((0L, 1L), (1L, 2L)), 0L until 7L),
+      "isolated vertices only"       -> LocalGraph.fromEdges(Nil, 0L until 5L))
+
+  for ((name, g) <- edgeInputs) {
+    test(s"edge degrees and count in closed form equal the listing's ($name)") {
+      val inst = Pattern.Edge.instances(g)
+      assert(Pattern.Edge.degrees(g).toSeq == instanceDegrees(g, inst))
+      assert(Pattern.Edge.count(g) == inst.length)
+    }
+  }
 }

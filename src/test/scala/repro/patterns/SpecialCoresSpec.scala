@@ -162,7 +162,7 @@ class SpecialCoresSpec extends AnyFunSuite {
     (1 to 3).map(seed => s"G(30, 0.3) seed $seed" -> (() => TestUtil.randomGraph(30, 0.3, seed))) ++
       Seq("three hubs" -> (() => threeHubs), "dense G(60, 0.5)" -> (() => TestUtil.randomGraph(60, 0.5, 7)))
 
-  for (psi <- Seq(Pattern.Star(2), Pattern.Star(3), Pattern.Star(4), Pattern.Diamond); (name, graph) <- inputs) {
+  for (psi <- Seq(Pattern.Edge, Pattern.Star(2), Pattern.Star(3), Pattern.Star(4), Pattern.Diamond); (name, graph) <- inputs) {
     test(s"${psi.name} closed-form peel equals the generic peel on every Result field ($name)") {
       val g = graph()
       val b = CliqueCore.decomposeInstances(g.n, psi.instances(g))
