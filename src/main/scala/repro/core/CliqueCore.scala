@@ -4,7 +4,12 @@ import repro.graph.LocalGraph
 import repro.patterns.Pattern
 import scala.collection.mutable
 
-/** (k, Ψ)-core decomposition (Algorithm 3), generalized to any pattern.
+/** (k, Ψ)-core decomposition (Algorithm 3) over a store of instances,
+  * generalized to any pattern: the store peel. CoreExact and QueryDensest
+  * peel here because they go on to read the same store's loads, partitions
+  * and networks. The approximations' peels keep no store
+  * ([[repro.patterns.SpecialCores.decompose]]): for h-cliques they list
+  * again through each removed vertex, as the paper writes Algorithm 3.
   *
   * Instances of Ψ are stored once in one flat `Int` array with stride h
   * ([[Instances]]), which also carries its vertex range n and each vertex's
@@ -13,9 +18,9 @@ import scala.collection.mutable
   * instance ids), laid out by a prefix sum of those degrees and one fill
   * pass. The shared [[Peel]] removes the live vertex of smallest
   * (Ψ-degree, id); its live instances die, and each other member loses
-  * them all in one update. Core numbers are those of the paper's
-  * re-enumeration variant, with the same worst-case complexity (see
-  * DESIGN.md "Deviations").
+  * them all in one update. Core numbers, and every other result field, are
+  * those of the peel that lists again, with the same worst-case complexity
+  * (see DESIGN.md "Deviations").
   *
   * The peel also records, for every prefix of removals, μ and the density of
   * the residual graph — ρ' for CoreExact's Pruning 1, PeelApp's S* and μ of

@@ -3,7 +3,12 @@ package repro.core
 /** The (k, Ψ)-core peel shared by [[CliqueCore]] and
   * [[repro.patterns.SpecialCores]]: remove the live vertex of smallest
   * (pattern-degree, id) n times, recording core numbers, the removal order
-  * and the densest residual graph.
+  * and the densest residual graph. Subclasses differ only in where a
+  * removal's losses come from: [[CliqueCore]]'s store peel reads them from
+  * its instance store and index; the clique peel of
+  * [[repro.patterns.SpecialCores]] lists again the cliques through the
+  * removed vertex, and its edge, star and diamond peels count them in
+  * closed form.
   *
   * Live vertices sit in an indexed binary min-heap on two primitive arrays,
   * `heap` and its inverse `pos`, keyed by (deg(v), v). Degrees only fall, so

@@ -20,8 +20,6 @@ object SynthGraphs {
     * @throws IllegalArgumentException if m exceeds the n(n − 1)/2 pairs
     */
   def erM(n: Int, m: Int, seed: Long = 1): LocalGraph = {
-    val pairs = n.toLong * (n - 1) / 2
-    if (m > pairs) throw new IllegalArgumentException(s"$m edges asked for on $n vertices, which have at most $pairs")
     val rnd = new Random(seed)
     distinctPairs(n, m, Long.MaxValue)(() => (rnd.nextInt(n).toLong << 32) | rnd.nextInt(n))
   }
@@ -29,8 +27,12 @@ object SynthGraphs {
   /** The graph on 0 until n of the first m distinct pairs {a, b}, a ≠ b,
     * that `draw` gives as (a << 32) | b, or of those it gives in `maxTries`
     * draws. Each pair is kept as one packed key in an id hash.
+    *
+    * @throws IllegalArgumentException if m exceeds the n(n − 1)/2 pairs
     */
   private def distinctPairs(n: Int, m: Int, maxTries: Long)(draw: () => Long): LocalGraph = {
+    val pairs = n.toLong * (n - 1) / 2
+    if (m > pairs) throw new IllegalArgumentException(s"$m edges asked for on $n vertices, which have at most $pairs")
     val seen  = new LocalGraph.IdIndex
     var tries = 0L
     while (seen.size < m && tries < maxTries) {
@@ -45,7 +47,8 @@ object SynthGraphs {
   /** Chung–Lu power-law: expected degree of rank-i vertex ∝ (i+1)^(-1/(alpha-1)),
     * scaled so the expected edge count is ~m. Produces heavy-tailed degrees
     * like the paper's real graphs (Appendix B reports alpha in [2.28, 2.98]).
-    * An alpha <= 1, whose exponent is undefined or positive, is rejected.
+    * An alpha <= 1, whose exponent is undefined or positive, is rejected,
+    * as is an m above the n(n − 1)/2 pairs.
     */
   def powerLaw(n: Int, m: Int, alpha: Double = 2.5, seed: Long = 1): LocalGraph = {
     if (!(alpha > 1)) throw new IllegalArgumentException(s"power-law alpha must be > 1, got $alpha")
@@ -64,7 +67,7 @@ object SynthGraphs {
       while (lo < hi) { val mid = (lo + hi) / 2; if (cdf(mid) < x) lo = mid + 1 else hi = mid }
       lo
     }
-    distinctPairs(n, m, m * 20)(() => (draw().toLong << 32) | draw())
+    distinctPairs(n, m, m * 20L)(() => (draw().toLong << 32) | draw())
   }
 
   /** SSCA-like: vertices partitioned into random-sized groups, each made a
@@ -90,13 +93,14 @@ object SynthGraphs {
   }
 
   /** R-MAT recursive-matrix generator (a=0.57 b=0.19 c=0.19 d=0.05) on
-    * 2^scale vertices; a scale outside 1..30 (2^scale overflows) is rejected. */
+    * 2^scale vertices; a scale outside 1..30 (2^scale overflows) is
+    * rejected, as is an m above the pairs of 2^scale vertices. */
   def rmat(scale: Int, m: Int, seed: Long = 1): LocalGraph = {
     if (scale < 1 || scale > 30) throw new IllegalArgumentException(s"R-MAT scale must be in 1..30, got $scale")
     val a = 0.57; val b = 0.19; val c = 0.19
     val rnd = new Random(seed)
     val n   = 1 << scale
-    distinctPairs(n, m, m * 20) { () =>
+    distinctPairs(n, m, m * 20L) { () =>
       var u = 0; var v = 0; var bit = n >> 1
       while (bit > 0) {
         val x = rnd.nextDouble()

@@ -60,7 +60,7 @@ object Pattern {
 
     /** An edge's pattern-degree is its graph degree, and μ is m. */
     override def degrees(g: LocalGraph): Array[Long] =
-      if (h > 2) super.degrees(g) else IntStream.range(0, g.n).mapToLong(g.degree(_)).toArray
+      if (h > 2) new CliqueEnum(g, h).degrees else IntStream.range(0, g.n).mapToLong(g.degree(_)).toArray
 
     override def count(g: LocalGraph): Long = if (h > 2) super.count(g) else g.m
   }

@@ -1,29 +1,37 @@
 package repro.patterns
 
+import repro.cliques.CliqueEnum
 import repro.core.{CliqueCore, Peel}
 import repro.graph.LocalGraph
 
-/** Appendix-D optimized (k, Ψ)-core decompositions for special patterns.
+/** (k, Ψ)-core decompositions that keep no instance store: the peels of
+  * PeelApp, IncApp and every CoreApp round.
   *
-  * For edges, x-stars and the diamond (C4), pattern-degrees have closed
-  * forms over the residual graph, so the peel never materializes instances.
-  * An edge's pattern-degree is the residual degree. For stars and the
-  * diamond, removing v kills only instances through v, and one pass over the
-  * live 2-paths from v finds what each vertex loses; the shared [[Peel]]
-  * lowers those degrees and keeps μ. A removal costs O(Σ_{u∈N(v)} deg(u)),
-  * which takes the decomposition from O(n·d^x) (resp. O(n·d^3)) to O(n·d^2).
+  * h-cliques (h >= 3) peel as Algorithm 3 is written: the initial degrees
+  * come from one counting pass, and removing u lists again the cliques
+  * through u among its live neighbours, over the orientation that pass built.
+  * For edges, x-stars and the diamond, pattern-degrees have closed forms over
+  * the residual graph (Appendix D). An edge's pattern-degree is the residual
+  * degree. For stars and the diamond, removing v kills only instances
+  * through v, and one pass over the live 2-paths from v finds what each
+  * vertex loses. A removal costs O(Σ_{u∈N(v)} deg(u)), which takes the
+  * decomposition from O(n·d^x) (resp. O(n·d^3)) to O(n·d^2). Every peel
+  * here lowers the degrees of the shared [[Peel]], which keeps μ, and needs
+  * O(n + m) memory. Other patterns peel over [[CliqueCore]]'s store.
   *
-  * With the generic peel's (degree, id) tie rule, core numbers, removal
-  * order and best residual suffix match [[CliqueCore.decompose]] over the
-  * listed instances (asserted in SpecialCoresSpec). Star degrees saturate at
-  * Long.MaxValue like [[Combinatorics.choose]].
+  * With the shared (degree, id) tie rule, every result field matches
+  * [[CliqueCore.decompose]] over the listed instances (asserted in
+  * SpecialCoresSpec). Star degrees saturate at Long.MaxValue like
+  * [[Combinatorics.choose]].
   */
 object SpecialCores {
 
-  /** The one map from a pattern to its peel, for every approximation: the closed-form
-    * peels for edges, stars and the diamond, [[CliqueCore.decompose]] otherwise. */
+  /** The one map from a pattern to its peel, for every approximation: the
+    * store-free peels for cliques, stars and the diamond,
+    * [[CliqueCore.decompose]] over the store otherwise. */
   def decompose(g: LocalGraph, psi: Pattern): CliqueCore.Result = psi match {
     case Pattern.Clique(2) => decomposeEdges(g)
+    case Pattern.Clique(h) => decomposeCliques(g, h)
     case Pattern.Star(x)   => decomposeStar(g, x)
     case Pattern.Diamond   => decomposeDiamond(g)
     case _                 => CliqueCore.decompose(g, psi)
@@ -38,6 +46,37 @@ object SpecialCores {
         while (i < g.off(v + 1)) { if (live(g.nbr(i))) lower(g.nbr(i), 1); i += 1 }
       }
     }.run(g.m)
+
+  /** (k, h-clique)-core decomposition for h >= 3 that lists again instead
+    * of storing: removing u lists the h-cliques through u whose other
+    * members are live neighbours of u, and each of those members loses them
+    * all in one update. Every clique is listed twice, once by the counting
+    * pass and once when its first member leaves. */
+  def decomposeCliques(g: LocalGraph, h: Int): CliqueCore.Result = {
+    require(h >= 3, s"the clique peel needs h >= 3, got $h")
+    val n       = g.n
+    val cliques = new CliqueEnum(g, h)
+    val deg     = cliques.degrees
+    val rest    = new Array[Int](java.util.stream.IntStream.range(0, n).map(g.degree(_)).max().orElse(0)) // u's live neighbours, by id
+    val loss    = new Array[Long](n) // what each vertex loses with the current removal
+    val hit     = new Array[Int](n)  // the vertices with loss > 0
+    new Peel(deg) {
+      private var hits = 0
+      // c(0) is the removed vertex
+      private val kill: Array[Int] => Unit = c => {
+        var j = 1
+        while (j < h) { val w = c(j); if (loss(w) == 0) { hit(hits) = w; hits += 1 }; loss(w) += 1; j += 1 }
+      }
+
+      protected def removed(u: Int): Unit = {
+        var k = 0
+        var i = g.off(u)
+        while (i < g.off(u + 1)) { if (live(g.nbr(i))) { rest(k) = g.nbr(i); k += 1 }; i += 1 }
+        cliques.through(u, rest, k)(kill)
+        while (hits > 0) { hits -= 1; val w = hit(hits); lower(w, loss(w)); loss(w) = 0 }
+      }
+    }.run(java.util.Arrays.stream(deg).sum / h)
+  }
 
   /** (k, x-star)-core decomposition without instance materialization. Where
     * the running μ has saturated, μ of the (k_max, x-star)-core is counted on it. */

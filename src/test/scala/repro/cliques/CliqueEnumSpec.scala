@@ -114,4 +114,23 @@ class CliqueEnumSpec extends AnyFunSuite {
     val g = LocalGraph.fromEdges(Nil)
     assert(Pattern.Clique(3).count(g) == 0)
   }
+
+  for (seed <- 1 to 3) {
+    test(s"through(u, live neighbours) lists exactly the h-cliques holding u and no removed vertex, u first, h = 2..5 (seed=$seed)") {
+      val g       = TestUtil.randomGraph(30, 0.45, seed)
+      val removed = Set(3, 11, 17, 24)
+      for (h <- 2 to 5) {
+        val e   = new CliqueEnum(g, h)
+        val all = TestUtil.referenceCliques(g, h).map(_.toSeq)
+        for (u <- 0 until g.n) {
+          val rest = TestUtil.adj(g, u).filterNot(removed)
+          val b    = Seq.newBuilder[Seq[Int]]
+          e.through(u, rest, rest.length) { cl => assert(cl(0) == u); b += cl.sorted.toSeq }
+          val got  = b.result()
+          val want = all.filter(c => c.contains(u) && c.forall(v => v == u || !removed(v)))
+          assert(got.toSet == want.toSet && got.distinct.length == got.length, s"h=$h u=$u")
+        }
+      }
+    }
+  }
 }

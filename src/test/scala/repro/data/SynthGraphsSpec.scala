@@ -35,6 +35,16 @@ class SynthGraphsSpec extends AnyFunSuite {
     assert(full.n == 16 && full.m == 120)
   }
 
+  test("powerLaw and rmat reject more edges than the vertices have pairs, naming both numbers") {
+    // 200,000,000 · 20 draws wrap a 32-bit Int negative: the sampler used to
+    // draw nothing and return a graph with no edges
+    val p = intercept[IllegalArgumentException](SynthGraphs.powerLaw(16, 200000000))
+    assert(p.getMessage.contains("200000000") && p.getMessage.contains("16") && p.getMessage.contains("120"), p.getMessage)
+    val r = intercept[IllegalArgumentException](SynthGraphs.rmat(4, 121))
+    assert(r.getMessage.contains("121") && r.getMessage.contains("16") && r.getMessage.contains("120"), r.getMessage)
+    assert(SynthGraphs.powerLaw(16, 120).m <= 120 && SynthGraphs.rmat(4, 120).m <= 120)
+  }
+
   test("powerLaw produces requested sizes (approximately for m)") {
     val g = SynthGraphs.powerLaw(1000, 3000, 2.5, 3)
     assert(g.n == 1000)

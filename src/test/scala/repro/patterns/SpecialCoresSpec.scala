@@ -240,4 +240,39 @@ class SpecialCoresSpec extends AnyFunSuite {
       assert(TestUtil.peelFields(SpecialCores.decomposeStar(g, x)) == TestUtil.peelFields(referenceStarPeel(g, x)))
     }
   }
+
+  /** K_{a,b}: dense, with no triangle. */
+  private def completeBipartite(a: Int, b: Int) =
+    LocalGraph.fromEdges(for (u <- 0 until a; v <- a until a + b) yield (u.toLong, v.toLong))
+
+  private val cliqueInputs: Seq[(String, () => LocalGraph)] =
+    (1 to 3).map(seed => s"G(30, 0.5) seed $seed" -> (() => TestUtil.randomGraph(30, 0.5, seed))) ++
+      (1 to 2).map(seed => s"G(45, 0.25) seed $seed" -> (() => TestUtil.randomGraph(45, 0.25, seed))) ++
+      (1 to 2).map(seed => s"planted K12 seed $seed" ->
+        (() => repro.data.SynthGraphs.plantClique(repro.data.SynthGraphs.powerLaw(200, 700, 2.5, seed), 12, seed))) ++
+      Seq("two hubs, 40 leaves" -> (() => TestUtil.twoHubs(40)),
+          "three hubs"          -> (() => threeHubs),
+          "K9"                  -> (() => TestUtil.complete(9)),
+          "K(6, 7)"             -> (() => completeBipartite(6, 7)),
+          "isolated vertices"   -> (() => LocalGraph.fromEdges(Nil, 0L until 5L)),
+          "empty graph"         -> (() => LocalGraph.fromEdges(Nil)))
+
+  for (h <- 3 to 6; (name, graph) <- cliqueInputs) {
+    test(s"$h-clique peel that lists again equals the store peel on every Result field ($name)") {
+      val g = graph()
+      val a = SpecialCores.decompose(g, Pattern.Clique(h))
+      val b = CliqueCore.decompose(g, Pattern.Clique(h))
+      assert(TestUtil.peelFields(a) == TestUtil.peelFields(b))
+      assert(a.core.length == g.n)
+    }
+  }
+
+  test("the clique peels that list again are not vacuous: each h = 3..6 peels instances on at least five inputs") {
+    for (h <- 3 to 6)
+      assert(cliqueInputs.count { case (_, graph) => SpecialCores.decompose(graph(), Pattern.Clique(h)).kMax > 0 } >= 5, s"h=$h")
+  }
+
+  test("the clique peel that lists again rejects h < 3") {
+    intercept[IllegalArgumentException](SpecialCores.decomposeCliques(TestUtil.complete(4), 2))
+  }
 }
