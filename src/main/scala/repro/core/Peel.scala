@@ -24,9 +24,8 @@ package repro.core
   * not one per lost instance. The peel keeps μ: deg(v) at v's removal
   * counts exactly v's live instances, so μ falls by deg(v). It records μ of
   * two residuals: the densest, and the one just before the removal that
-  * last raises k, which is the (k_max, Ψ)-core. A saturated μ
-  * (Long.MaxValue, as [[repro.patterns.Combinatorics.choose]]) stays
-  * unknown; a known μ bounds every degree, so none is saturated.
+  * last raises k, which is the (k_max, Ψ)-core. μ₀ bounds every degree and
+  * every loss, so no count here can overflow.
   *
   * @param deg initial pattern-degree per vertex; the peel updates it in place
   */
@@ -67,11 +66,10 @@ abstract class Peel(deg: Array[Long]) {
       if (deg(v) > k) { k = deg(v); kMaxMu = mu }
       core(v) = k
       order(done) = v
-      if (mu != Long.MaxValue) mu -= deg(v)
+      mu -= deg(v)
       removed(v)
       done += 1
-      // an unknown μ is never taken as the densest
-      if (done < n && mu != Long.MaxValue) {
+      if (done < n) {
         val dens = mu.toDouble / (n - done)
         if (dens > bestDensity) { bestDensity = dens; bestMu = mu; bestSuffix = done }
       }

@@ -55,7 +55,7 @@ object Pattern {
 
   /** h-clique (h >= 2); Edge is the 2-clique, Triangle the 3-clique. */
   final case class Clique(h: Int) extends Pattern(s"$h-clique", h) {
-    require(h >= 2)
+    require(h >= 2, s"an h-clique needs h >= 2, got $h")
     def forEach(g: LocalGraph)(f: Array[Int] => Unit): Unit = CliqueEnum.forEach(g, h)(f)
 
     /** An edge's pattern-degree is its graph degree, and μ is m. */
@@ -70,7 +70,7 @@ object Pattern {
 
   /** x-star: a center with x tail vertices (2-star, c3-star=Star(3), 4-star). */
   final case class Star(tails: Int) extends Pattern(s"$tails-star", tails + 1) {
-    require(tails >= 2)
+    require(tails >= 2, s"an x-star needs x >= 2, got $tails")
 
     def forEach(g: LocalGraph)(f: Array[Int] => Unit): Unit = {
       val pick = new Array[Int](tails)
@@ -95,29 +95,30 @@ object Pattern {
       while (c < g.n) { combos(g.off(c), g.off(c + 1), 0, c); c += 1 }
     }
 
-    /** Closed-form star degree (Appendix D.1, Eq. 25) of v over edge-degrees
-      * `d`: C(d(v), x) as center + Σ_{u∈N(v), live(u)} C(d(u)-1, x-1) as a
-      * tail, saturating at Long.MaxValue.
+    /** Closed-form star degrees (Appendix D.1, Eq. 25): v is the center of
+      * C(d(v), x) stars and a tail of C(d(u) − 1, x − 1) for each u ∈ N(v).
+      * Refuses, naming the vertex, a degree that does not fit a Long.
       */
-    def degree(g: LocalGraph, d: Array[Int], live: Int => Boolean, v: Int): Long = {
-      var t = Combinatorics.choose(d(v), tails)
-      var i = g.off(v)
-      while (i < g.off(v + 1)) {
-        val u = g.nbr(i)
-        if (live(u)) t = Combinatorics.satAdd(t, Combinatorics.choose(d(u) - 1, tails - 1))
-        i += 1
-      }
-      t
-    }
+    override def degrees(g: LocalGraph): Array[Long] =
+      IntStream.range(0, g.n).mapToLong { v =>
+        def what = s"the $name degree of vertex ${g.ids(v)}"
+        var t = plus(0L, Combinatorics.choose(g.degree(v), tails), what)
+        var i = g.off(v)
+        while (i < g.off(v + 1)) { t = plus(t, Combinatorics.choose(g.degree(g.nbr(i)) - 1, tails - 1), what); i += 1 }
+        t
+      }.toArray
 
-    /** Eq. 25 for every vertex of `g`. */
-    override def degrees(g: LocalGraph): Array[Long] = {
-      val d = IntStream.range(0, g.n).map(g.degree(_)).toArray
-      IntStream.range(0, g.n).mapToLong(degree(g, d, _ => true, _)).toArray
-    }
-
+    /** μ = Σ_v C(d(v), x), refused once it does not fit a Long. Every degree
+      * and every loss of a peel is at most μ, so a peel that starts from it
+      * cannot overflow. */
     override def count(g: LocalGraph): Long =
-      IntStream.range(0, g.n).mapToLong(v => Combinatorics.choose(g.degree(v), tails)).reduce(0L, Combinatorics.satAdd(_, _))
+      IntStream.range(0, g.n).mapToLong(v => Combinatorics.choose(g.degree(v), tails)).reduce(0L, plus(_, _, s"the $name count"))
+
+    /** t + c for counts t, c >= 0, or an ArithmeticException naming `what`
+      * when c (a saturated [[Combinatorics.choose]]) or the sum does not fit. */
+    private def plus(t: Long, c: Long, what: => String): Long =
+      if (c == Long.MaxValue || t > Long.MaxValue - c) throw new ArithmeticException(s"$what does not fit a Long")
+      else t + c
   }
 
   /** Diamond = the 4-cycle C4 (per Appendix D.2 its pattern-degree counts
@@ -274,26 +275,24 @@ object Pattern {
 
 /** Small combinatorics helpers shared by pattern counting. */
 object Combinatorics {
-  /** n choose k as Long (0 when k < 0 or k > n); saturates at Long.MaxValue. */
+  /** n choose k as Long (0 when k < 0 or k > n); Long.MaxValue when
+    * C(n, k) does not fit a Long. Step i makes C(n−kk+i, i), which grows
+    * with i, so the first step that overflows means the result does. */
   def choose(n: Int, k: Int): Long = {
     if (k < 0 || n < 0 || k > n) return 0L
     val kk = math.min(k, n - k)
-    var acc = 1.0
     var res = 1L
     var i = 1
     while (i <= kk) {
-      acc = acc * (n - kk + i) / i
-      if (acc > Long.MaxValue / 2.0) return Long.MaxValue
-      // res·(n−kk+i)/i is integral, so i/gcd(res, i) divides n−kk+i: no overflow
+      // res·(n−kk+i)/i is integral, so i/gcd(res, i) divides n−kk+i
       val d = gcd(res, i)
-      res = res / d * ((n - kk + i) / (i / d))
+      val f = (n - kk + i) / (i / d)
+      if (res / d > Long.MaxValue / f) return Long.MaxValue
+      res = res / d * f
       i += 1
     }
     res
   }
 
   private def gcd(a: Long, b: Long): Long = if (b == 0) a else gcd(b, a % b)
-
-  /** a + b for non-negative a and b, saturating at Long.MaxValue like [[choose]]. */
-  def satAdd(a: Long, b: Long): Long = if (a > Long.MaxValue - b) Long.MaxValue else a + b
 }

@@ -21,8 +21,9 @@ import repro.graph.LocalGraph
   *
   * With the shared (degree, id) tie rule, every result field matches
   * [[CliqueCore.decompose]] over the listed instances (asserted in
-  * SpecialCoresSpec). Star degrees saturate at Long.MaxValue like
-  * [[Combinatorics.choose]].
+  * SpecialCoresSpec). A star count that does not fit a Long is refused
+  * before the peel starts ([[Pattern.Star.count]]); every degree and loss
+  * is at most that count, so no peel here can overflow.
   */
 object SpecialCores {
 
@@ -78,25 +79,22 @@ object SpecialCores {
     }.run(java.util.Arrays.stream(deg).sum / h)
   }
 
-  /** (k, x-star)-core decomposition without instance materialization. Where
-    * the running μ has saturated, μ of the (k_max, x-star)-core is counted on it. */
+  /** (k, x-star)-core decomposition without instance materialization. */
   def decomposeStar(g: LocalGraph, x: Int): CliqueCore.Result = {
-    require(x >= 2, s"x-star needs x >= 2, got $x")
+    val star  = Pattern.Star(x)
     val n     = g.n
     val nbr   = g.nbr
     val d     = java.util.stream.IntStream.range(0, n).map(g.degree(_)).toArray // residual edge-degree
     val loss  = new Array[Long](n)          // what each vertex loses with the current removal
     val hit   = new Array[Int](n)           // the vertices with loss > 0
-    val star  = Pattern.Star(x)
-    val pdeg  = star.degrees(g)
-    import Combinatorics.{choose, satAdd}
+    import Combinatorics.choose
 
-    val dec = new Peel(pdeg) {
+    new Peel(star.degrees(g)) {
       private var hits = 0
 
       private def lose(w: Int, by: Long): Unit = if (by > 0) {
         if (loss(w) == 0) { hit(hits) = w; hits += 1 }
-        loss(w) = satAdd(loss(w), by)
+        loss(w) += by
       }
 
       protected def removed(v: Int): Unit = {
@@ -108,7 +106,7 @@ object SpecialCores {
         while (i < g.off(v + 1)) {
           val u = nbr(i)
           if (live(u)) {
-            lose(u, satAdd(choose(d(u) - 1, x - 1), asTail))
+            lose(u, choose(d(u) - 1, x - 1) + asTail)
             val both = choose(d(u) - 2, x - 2)
             if (both > 0) {
               var j = g.off(u)
@@ -118,19 +116,9 @@ object SpecialCores {
           }
           i += 1
         }
-        // a saturated degree is recounted, once every edge-degree is current
-        i = 0
-        while (i < hits) {
-          val w = hit(i)
-          lower(w, if (pdeg(w) == Long.MaxValue) Long.MaxValue - star.degree(g, d, live, w) else loss(w))
-          loss(w) = 0
-          i += 1
-        }
-        hits = 0
+        while (hits > 0) { hits -= 1; val w = hit(hits); lower(w, loss(w)); loss(w) = 0 }
       }
     }.run(star.count(g))
-    if (dec.kMaxInstances != Long.MaxValue) dec
-    else dec.copy(kMaxInstances = star.count(g.induced(dec.kMaxCoreVertices)))
   }
 
   /** (k, diamond)-core decomposition (diamond = C4, Appendix D.2). */

@@ -251,6 +251,13 @@ object TestUtil {
     }.maxOption.getOrElse(0)
   }
 
+  /** Asserts that `f` throws an ArithmeticException whose message names `what`. */
+  def refused(what: String)(f: => Any): Unit = {
+    import org.scalatest.Assertions.{assert, intercept}
+    val e = intercept[ArithmeticException](f)
+    assert(e.getMessage.contains(what), e.getMessage)
+  }
+
   /** Two adjacent hubs 0 and 1, each joined to all of `leaves` leaves, which
     * form a cycle: every leaf and leaf edge lies in triangles with both hubs. */
   def twoHubs(leaves: Int): LocalGraph =

@@ -268,16 +268,25 @@ class ApproxSpec extends AnyFunSuite {
     }
   }
 
-  test("PeelApp and IncApp return on 8-stars too many to list (two hubs, 900 leaves)") {
-    // C(901, 8) > 4.6e18 stars: the closed-form peel runs, a listing would not
-    val g   = TestUtil.twoHubs(900)
+  test("PeelApp and IncApp report the exact 8-star μ of K_{1,887}, too many to list; K_{1,888} and two hubs are refused") {
+    // C(887, 8) = 9,207,044,098,280,898,870 < Long.MaxValue < C(888, 8)
     val psi = Pattern.Star(8)
-    val dec = repro.patterns.SpecialCores.decomposeStar(g, 8)
-    assert(psi.count(g) == Long.MaxValue)
-    assert(PeelApp.run(g, psi).vertices.toSeq == dec.bestResidualVertices.toSeq)
-    val inc = IncApp.run(g, psi)
-    assert(inc.vertices.toSeq == dec.kMaxCoreVertices.toSeq && dec.kMax > 0)
-    assert(inc.instances == psi.count(g.induced(inc.vertices)))
+    val mu  = (1 to 8).foldLeft(BigInt(1))((c, i) => c * (879 + i) / i)
+    val g   = TestUtil.star(887)
+    assert(BigInt(psi.count(g)) == mu && psi.count(g) == 9207044098280898870L)
+    for (r <- Seq(PeelApp.run(g, psi), IncApp.run(g, psi)))
+      assert(r.instances == psi.count(g) && r.size == g.n)
+    def refused(f: => Any): Unit = TestUtil.refused("8-star")(f)
+    val over = TestUtil.star(888)
+    refused(psi.count(over))
+    refused(psi.degrees(over))
+    refused(repro.patterns.SpecialCores.decompose(over, psi))
+    refused(PeelApp.run(over, psi))
+    refused(IncApp.run(over, psi))
+    refused(CoreApp.kMaxCore(over, psi))
+    // C(901, 8) stars centered on each hub: PeelApp used to return the whole
+    // graph with μ = Long.MaxValue
+    refused(PeelApp.run(TestUtil.twoHubs(900), psi))
   }
 
   test("CoreApp orders vertices as a stable sort by bound descending, saturated bounds first") {

@@ -20,15 +20,10 @@ class PatternSpec extends AnyFunSuite {
     assert(choose(52, 5) == 2598960L)
   }
 
-  /** choose(n, k) must be C(n, k) below the saturation point, Long.MaxValue
-    * above it, and either within round-off of it. */
-  private def assertChoose(n: Int, k: Int, exact: BigInt): Unit = {
-    val sat = BigDecimal(Long.MaxValue / 2.0)
-    val got = choose(n, k)
-    if (BigDecimal(exact) < sat * (1 - 1e-9)) assert(got == exact, s"C($n, $k)")
-    else if (BigDecimal(exact) > sat * (1 + 1e-9)) assert(got == Long.MaxValue, s"C($n, $k)")
-    else assert(got == exact || got == Long.MaxValue, s"C($n, $k)")
-  }
+  /** choose(n, k) must be C(n, k) where it fits a Long, Long.MaxValue
+    * where it does not. */
+  private def assertChoose(n: Int, k: Int, exact: BigInt): Unit =
+    assert(BigInt(choose(n, k)) == exact.min(BigInt(Long.MaxValue)), s"C($n, $k)")
 
   test("choose equals the BigInt binomial for every 0 <= k <= n <= 1000") {
     var row = Array(BigInt(1))
@@ -50,6 +45,8 @@ class PatternSpec extends AnyFunSuite {
       assertChoose(n, k, exact(n, k))
     }
     assert(choose(62, 31) == 465428353255261088L)
+    // the largest C(n, 8) that fits a Long, and the first that does not
+    assert(choose(887, 8) == 9207044098280898870L && choose(888, 8) == Long.MaxValue)
   }
 
   test("8-star degrees are Eq. 25 in BigInt where C(701, 8) used to overflow (two hubs, 700 leaves)") {
@@ -58,7 +55,18 @@ class PatternSpec extends AnyFunSuite {
     def c(n: Int, k: Int) = if (n < k) BigInt(0) else (1 to k).foldLeft(BigInt(1))((acc, i) => acc * (n - k + i) / i)
     for (v <- 0 until g.n) {
       val eq25 = TestUtil.adj(g, v).foldLeft(c(g.degree(v), 8))((t, u) => t + c(g.degree(u) - 1, 7))
-      assert(deg(v) >= 0 && BigInt(deg(v)) == eq25.min(BigInt(Long.MaxValue)), s"v=$v")
+      assert(BigInt(deg(v)) == eq25, s"v=$v")
+    }
+  }
+
+  test("Clique(h < 2) and Star(x < 2) are refused, naming the value") {
+    for (h <- Seq(1, 0, -3)) {
+      val e = intercept[IllegalArgumentException](Pattern.Clique(h))
+      assert(e.getMessage.contains(s"h >= 2, got $h"), e.getMessage)
+    }
+    for (x <- Seq(1, 0, -3)) {
+      val e = intercept[IllegalArgumentException](Pattern.Star(x))
+      assert(e.getMessage.contains(s"x >= 2, got $x"), e.getMessage)
     }
   }
 

@@ -2,12 +2,13 @@ package repro.patterns
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestUtil
-import repro.core.{CliqueCore, CoreApp, Densest}
+import repro.core.{CliqueCore, CoreApp, Densest, PeelApp}
 import repro.graph.LocalGraph
 
 /** Appendix-D optimized star / diamond decompositions must be
   * output-equivalent to the generic instance-materializing peel, and on
-  * saturated stars to a peel that recounts Eq. 25 after every removal.
+  * stars too many to list to a peel that recounts Eq. 25 after every
+  * removal; a star count that does not fit a Long is refused by name.
   */
 class SpecialCoresSpec extends AnyFunSuite {
 
@@ -93,48 +94,34 @@ class SpecialCoresSpec extends AnyFunSuite {
   private def twoHubs(leaves: Int) =
     LocalGraph.fromEdges((0L, 1L) +: (0 until 2 * leaves).map(i => ((i % 2).toLong, i + 2L)))
 
-  test("4-star degrees and count saturate instead of wrapping (two hubs, 130k leaves each)") {
-    // C(130001, 4) > Long.MaxValue: each hub's center term saturates, and
-    // adding the other hub's tail term used to wrap negative
-    val g   = twoHubs(130000)
-    val deg = Pattern.Star(4).degrees(g)
-    val hubs = Seq(0L, 1L).map(g.ids.indexOf(_))
-    assert(deg.forall(_ >= 0))
-    assert(hubs.forall(deg(_) == deg.max))
-    assert(Pattern.Star(4).count(g) == Long.MaxValue)
+  test("4-star degrees and count are refused by name where they do not fit a Long (two hubs, 130k leaves each)") {
+    // C(130001, 4) > Long.MaxValue: each hub's center term does not fit,
+    // while a leaf's C(130000, 3) does
+    val g = twoHubs(130000)
+    val e = intercept[ArithmeticException](Pattern.Star(4).degrees(g))
+    assert(e.getMessage.matches("the 4-star degree of vertex [01] does not fit a Long"), e.getMessage)
+    TestUtil.refused("the 4-star count")(Pattern.Star(4).count(g))
   }
 
-  test("saturated star degrees keep the hubs in the top core (8-star, two hubs, 900 leaves each)") {
-    // C(901, 8) > Long.MaxValue, the saturation point of the 4-star at a
-    // degree small enough to peel
-    val g    = twoHubs(900)
-    val dec  = SpecialCores.decomposeStar(g, 8)
-    val hubs = Seq(0L, 1L).map(g.ids.indexOf(_))
-    assert(dec.core.forall(_ >= 0))
-    assert(hubs.forall(dec.core(_) == dec.kMax))
-    assert(dec.kMax > 0)
-    assert(dec.totalInstances == Long.MaxValue)
+  test("the 8-star decomposition is refused by name where a hub's degree does not fit a Long (two hubs, 900 leaves each)") {
+    // C(901, 8) > Long.MaxValue > C(887, 8)
+    val g = twoHubs(900)
+    TestUtil.refused("8-star degree of vertex")(SpecialCores.decomposeStar(g, 8))
+    TestUtil.refused("8-star degree of vertex")(SpecialCores.decompose(g, Pattern.Star(8)))
   }
 
-  test("CoreApp counts μ of its 8-star core on the core, not from the saturated peel (two hubs, 900 leaves each)") {
-    // once saturated the star peel's running μ sticks at Long.MaxValue: here
-    // its densest residual is a single vertex said to hold Long.MaxValue stars
-    val g           = twoHubs(900)
-    val psi         = Pattern.Star(8)
-    val (k, vs, mu) = CoreApp.kMaxCore(g, psi)
-    assert(k == SpecialCores.decomposeStar(g, 8).kMax)
-    assert(mu == psi.count(g.induced(vs)))
+  test("CoreApp refuses the 8-star where a degree does not fit a Long (two hubs, 900 leaves each)") {
+    TestUtil.refused("8-star degree of vertex")(CoreApp.kMaxCore(twoHubs(900), Pattern.Star(8)))
   }
 
-  test("a saturated μ is never taken as the densest residual (8-star, two hubs, 900 leaves each)") {
-    // every residual's running μ is saturated, so none is known to beat the
-    // whole graph, which is in fact the densest: a leaf's removal keeps
-    // (1 + 893/901)/2 = 1794/1802 of μ on 1801/1802 of the vertices
-    val g   = twoHubs(900)
-    val dec = SpecialCores.decomposeStar(g, 8)
-    assert(dec.bestSuffix == 0)
-    assert(dec.bestResidualVertices.length == g.n)
-    assert(dec.bestInstances == Long.MaxValue)
+  test("the 8-star peel is refused by its count where every degree fits (two disjoint K_{1,887})") {
+    // each center holds C(887, 8) stars, which fits; the two together do not
+    val g   = LocalGraph.fromEdges((1 to 887).flatMap(i => Seq((0L, i.toLong), (1000L, 1000L + i))))
+    val deg = Pattern.Star(8).degrees(g)
+    assert(deg.max == Combinatorics.choose(887, 8))
+    TestUtil.refused("the 8-star count")(Pattern.Star(8).count(g))
+    TestUtil.refused("the 8-star count")(SpecialCores.decompose(g, Pattern.Star(8)))
+    TestUtil.refused("the 8-star count")(PeelApp.run(g, Pattern.Star(8)))
   }
 
   /** Three hubs, each adjacent to most of 80 vertices, over sparse noise: a
@@ -173,40 +160,41 @@ class SpecialCoresSpec extends AnyFunSuite {
 
   /** Reference x-star peel, O(n·m): before each removal, recount Eq. 25 for
     * every live vertex from the residual edge-degrees and remove the one of
-    * smallest (degree, id). μ is recounted too, but once saturated it stays
-    * unknown (Long.MaxValue), as in [[repro.core.Peel]]. μ of the
-    * (k_max, x-star)-core is counted at the end from the core's own degrees.
+    * smallest (degree, id). μ is recounted too. μ of the (k_max, x-star)-core
+    * is counted at the end from the core's own degrees. Every sum is
+    * `Math.addExact`, so a count that does not fit a Long throws.
     */
   private def referenceStarPeel(g: LocalGraph, x: Int): CliqueCore.Result = {
-    import Combinatorics.{choose, satAdd}
+    import Combinatorics.choose
+    def add(t: Long, c: Long) = if (c == Long.MaxValue) throw new ArithmeticException("C(n, x) does not fit a Long") else Math.addExact(t, c)
     val n     = g.n
     val alive = Array.fill(n)(true)
     val d     = Array.tabulate(n)(g.degree)
     val deg   = new Array[Long](n)
     val core  = new Array[Long](n)
     val order = new Array[Int](n)
-    val mu0   = Pattern.Star(x).count(g)
+    val mu0   = (0 until n).foldLeft(0L)((t, v) => add(t, choose(d(v), x)))
     var mu    = mu0
     var k     = 0L
     var (bestMu, bestSuffix) = (mu0, 0)
     for (step <- 0 until n) {
       val live = (0 until n).filter(alive)
-      live.foreach(v => deg(v) = TestUtil.adj(g, v).filter(alive).foldLeft(choose(d(v), x))((t, u) => satAdd(t, choose(d(u) - 1, x - 1))))
+      live.foreach(v => deg(v) = TestUtil.adj(g, v).filter(alive).foldLeft(add(0L, choose(d(v), x)))((t, u) => add(t, choose(d(u) - 1, x - 1))))
       val v = live.minBy(u => (deg(u), u))
       k = math.max(k, deg(v))
       core(v) = k
       order(step) = v
       alive(v) = false
       TestUtil.adj(g, v).foreach(d(_) -= 1)
-      if (mu != Long.MaxValue) mu = live.filter(alive).foldLeft(0L)((t, u) => satAdd(t, choose(d(u), x)))
+      mu = live.filter(alive).foldLeft(0L)((t, u) => add(t, choose(d(u), x)))
       val rest = n - step - 1
-      if (rest > 0 && mu != Long.MaxValue && mu.toDouble / rest > bestMu.toDouble / (n - bestSuffix)) {
+      if (rest > 0 && mu.toDouble / rest > bestMu.toDouble / (n - bestSuffix)) {
         bestMu = mu
         bestSuffix = step + 1
       }
     }
     val inCore = core.map(_ >= k)
-    val kMaxMu = (0 until n).filter(inCore).foldLeft(0L)((t, v) => satAdd(t, choose(TestUtil.adj(g, v).count(inCore), x)))
+    val kMaxMu = (0 until n).filter(inCore).foldLeft(0L)((t, v) => add(t, choose(TestUtil.adj(g, v).count(inCore), x)))
     CliqueCore.Result(core, order, mu0, bestMu, bestSuffix, kMaxMu)
   }
 
@@ -234,10 +222,22 @@ class SpecialCoresSpec extends AnyFunSuite {
     }
   }
 
-  for ((leaves, x) <- Seq((900, 6), (900, 7), (900, 8), (2000, 6), (2000, 7))) {
-    test(s"$x-star closed-form peel equals the recounting reference on every Result field (two hubs, $leaves leaves each)") {
-      val g = twoHubs(leaves)
+  private val starInputs: Seq[(Int, String, () => LocalGraph)] =
+    Seq((900, 6), (900, 7), (2000, 6)).map { case (leaves, x) => (x, s"two hubs, $leaves leaves each", () => twoHubs(leaves)) } :+
+      ((8, "K_{1,887}", () => TestUtil.star(887)))
+
+  for ((x, name, graph) <- starInputs) {
+    test(s"$x-star closed-form peel equals the recounting reference on every Result field ($name)") {
+      val g = graph()
       assert(TestUtil.peelFields(SpecialCores.decomposeStar(g, x)) == TestUtil.peelFields(referenceStarPeel(g, x)))
+    }
+  }
+
+  for ((leaves, x) <- Seq((900, 8), (2000, 7))) {
+    test(s"$x-star closed-form peel and the recounting reference both refuse a count that does not fit a Long (two hubs, $leaves leaves each)") {
+      val g = twoHubs(leaves)
+      TestUtil.refused(s"$x-star")(SpecialCores.decomposeStar(g, x))
+      intercept[ArithmeticException](referenceStarPeel(g, x))
     }
   }
 
