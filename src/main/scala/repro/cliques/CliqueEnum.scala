@@ -3,31 +3,13 @@ package repro.cliques
 import repro.core.KCore
 import repro.graph.LocalGraph
 
-/** h-clique listing, the kernel of [[repro.patterns.Pattern.Clique]]: its
-  * instances and counts come from [[forEach]], its clique-degrees from
-  * [[CliqueEnum#degrees]].
-  */
-object CliqueEnum {
-
-  /** Visit every h-clique of `g` once. `f` receives a SORTED array of local
-    * vertex ids; the array is reused across calls — copy if you keep it.
-    */
-  def forEach(g: LocalGraph, h: Int)(f: Array[Int] => Unit): Unit = {
-    require(h >= 1, s"h must be >= 1, got $h")
-    if (h > 1) new CliqueEnum(g, h).forEach(f)
-    else {
-      val emit = new Array[Int](1)
-      var v    = 0
-      while (v < g.n) { emit(0) = v; f(emit); v += 1 }
-    }
-  }
-}
-
 /** The h-cliques of `g` (h >= 2), degeneracy-ordered in the style of kClist
-  * (Danisch, Balalau, Sozio, WWW'18): every edge is oriented once, from
+  * (Danisch, Balalau, Sozio, WWW'18), the kernel of
+  * [[repro.patterns.Pattern.Clique]]: every edge is oriented once, from
   * lower to higher degeneracy rank, and one recursion extends cliques inside
-  * out-neighbourhoods. [[forEach]] lists every h-clique; [[through]] lists
-  * those through one vertex, which is how the store-free clique peel
+  * out-neighbourhoods. [[forEach]] lists every h-clique, [[degrees]] counts
+  * each vertex's; [[through]] lists those through one vertex, which is how
+  * the store-free clique peel
   * ([[repro.patterns.SpecialCores.decomposeCliques]]) finds what a removal
   * kills.
   *
@@ -70,7 +52,8 @@ final class CliqueEnum(g: LocalGraph, h: Int) {
   private var visit: Array[Int] => Unit = _
   private var sorted = true
 
-  /** Visit every h-clique once, as [[CliqueEnum.forEach]] does. */
+  /** Visit every h-clique once. `f` receives a SORTED array of local vertex
+    * ids; the array is reused across calls — copy if you keep it. */
   def forEach(f: Array[Int] => Unit): Unit = { visit = f; sorted = true; all() }
 
   /** Clique-degree per vertex, from one listing pass: what

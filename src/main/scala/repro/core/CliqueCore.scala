@@ -270,9 +270,9 @@ object CliqueCore {
     c.result()
   }
 
-  /** The peel engine: removing u kills u's live instances, and each of
-    * their other members w loses them all in one update, summed in loss(w)
-    * over a touched list.
+  /** The store peel's removal rule: removing u kills u's live instances,
+    * and each of their other members loses one per instance; [[Peel]] sums
+    * those losses and lowers each member once.
     */
   private[core] def peel(s: Instances): Result = {
     val (off, ids) = index(s)
@@ -284,27 +284,19 @@ object CliqueCore {
     val h    = s.h
     val data = s.data
     val dead = new Array[Boolean](s.count)
-    val loss = new Array[Int](n) // what each vertex loses with the current removal
-    val hit  = new Array[Int](n) // the vertices with loss > 0
     new Peel(deg) {
       protected def removed(u: Int): Unit = {
-        var hits = 0
-        var i    = off(u)
+        var i = off(u)
         while (i < off(u + 1)) {
           val id = ids(i)
           if (!dead(id)) {
             dead(id) = true
             // a live instance has only live members
             var j = id * h
-            while (j < (id + 1) * h) {
-              val w = data(j)
-              if (w != u) { if (loss(w) == 0) { hit(hits) = w; hits += 1 }; loss(w) += 1 }
-              j += 1
-            }
+            while (j < (id + 1) * h) { if (data(j) != u) lose(data(j), 1); j += 1 }
           }
           i += 1
         }
-        while (hits > 0) { hits -= 1; val w = hit(hits); lower(w, loss(w)); loss(w) = 0 }
       }
     }.run(s.count.toLong)
   }

@@ -19,13 +19,15 @@ package repro.core
   * as long as the largest degree, 31,465 on Ca-HepTh with Ψ = 5-clique, and
   * its order within a bucket would depend on the update history.)
   *
-  * A subclass only lowers degrees, in [[removed]], and lowers each vertex
-  * the removal touched once, by all it lost: one sift per touched vertex,
-  * not one per lost instance. The peel keeps μ: deg(v) at v's removal
-  * counts exactly v's live instances, so μ falls by deg(v). It records μ of
-  * two residuals: the densest, and the one just before the removal that
-  * last raises k, which is the (k_max, Ψ)-core. μ₀ bounds every degree and
-  * every loss, so no count here can overflow.
+  * A subclass only names, in [[removed]], what each live vertex loses with
+  * the removal ([[lose]]). The engine sums a removal's losses per vertex
+  * over a touched list and, once [[removed]] returns, lowers each touched
+  * vertex once, by all it lost: one sift per touched vertex, not one per
+  * lost instance. The peel keeps μ: deg(v) at v's removal counts exactly
+  * v's live instances, so μ falls by deg(v). It records μ of two residuals:
+  * the densest, and the one just before the removal that last raises k,
+  * which is the (k_max, Ψ)-core. μ₀ bounds every degree and every loss, so
+  * no count here can overflow.
   *
   * @param deg initial pattern-degree per vertex; the peel updates it in place
   */
@@ -34,18 +36,25 @@ abstract class Peel(deg: Array[Long]) {
   private val heap = Array.range(0, n)
   private val pos  = Array.range(0, n)
   private var size = n
+  private val loss = new Array[Long](n) // what each vertex loses with the current removal
+  private val hit  = new Array[Int](n)  // the vertices with loss > 0
+  private var hits = 0
 
   { var i = n / 2 - 1; while (i >= 0) { siftDown(i); i -= 1 } }
 
   /** Called once per removed vertex `v`, after it has left the heap: must
-    * [[lower]] every live vertex by the instances it shared with `v`. */
+    * make every live vertex [[lose]] the instances it shared with `v`. */
   protected def removed(v: Int): Unit
 
   /** Whether `v` is still in the heap: false from its [[removed]] call on. */
-  final def live(v: Int): Boolean = pos(v) >= 0
+  protected final def live(v: Int): Boolean = pos(v) >= 0
 
-  /** deg(v) ← deg(v) − by for a live vertex `v`; degrees never rise. */
-  final def lower(v: Int, by: Long): Unit = { deg(v) -= by; siftUp(pos(v)) }
+  /** Live vertex `v` loses `by` more instances with the current removal;
+    * `by` = 0 touches nothing. */
+  protected final def lose(v: Int, by: Long): Unit = if (by != 0) {
+    if (loss(v) == 0) { hit(hits) = v; hits += 1 }
+    loss(v) += by
+  }
 
   /** Peel every vertex; `mu0` is μ of the whole graph. */
   final def run(mu0: Long): CliqueCore.Result = {
@@ -68,6 +77,8 @@ abstract class Peel(deg: Array[Long]) {
       order(done) = v
       mu -= deg(v)
       removed(v)
+      // degrees only fall, so each touched vertex sifts up in place
+      while (hits > 0) { hits -= 1; val w = hit(hits); deg(w) -= loss(w); loss(w) = 0; siftUp(pos(w)) }
       done += 1
       if (done < n) {
         val dens = mu.toDouble / (n - done)

@@ -56,7 +56,7 @@ object Pattern {
   /** h-clique (h >= 2); Edge is the 2-clique, Triangle the 3-clique. */
   final case class Clique(h: Int) extends Pattern(s"$h-clique", h) {
     require(h >= 2, s"an h-clique needs h >= 2, got $h")
-    def forEach(g: LocalGraph)(f: Array[Int] => Unit): Unit = CliqueEnum.forEach(g, h)(f)
+    def forEach(g: LocalGraph)(f: Array[Int] => Unit): Unit = new CliqueEnum(g, h).forEach(f)
 
     /** An edge's pattern-degree is its graph degree, and μ is m. */
     override def degrees(g: LocalGraph): Array[Long] =
@@ -222,7 +222,7 @@ object Pattern {
   case object TailedTriangle extends Pattern("tailed-triangle", 4) {
     def forEach(g: LocalGraph)(f: Array[Int] => Unit): Unit = {
       val emit = new Array[Int](4)
-      CliqueEnum.forEach(g, 3) { t =>
+      new CliqueEnum(g, 3).forEach { t =>
         var i = 0
         while (i < 3) {
           val c = t(i)

@@ -16,8 +16,10 @@ import repro.graph.LocalGraph
   * through v, and one pass over the live 2-paths from v finds what each
   * vertex loses. A removal costs O(Σ_{u∈N(v)} deg(u)), which takes the
   * decomposition from O(n·d^x) (resp. O(n·d^3)) to O(n·d^2). Every peel
-  * here lowers the degrees of the shared [[Peel]], which keeps μ, and needs
-  * O(n + m) memory. Other patterns peel over [[CliqueCore]]'s store.
+  * here is only its removal rule: it names what each live vertex loses
+  * ([[Peel]]'s `lose`), and the shared [[Peel]] sums the losses, lowers
+  * each touched vertex once and keeps μ. Each needs O(n + m) memory. Other
+  * patterns peel over [[CliqueCore]]'s store.
   *
   * With the shared (degree, id) tie rule, every result field matches
   * [[CliqueCore.decompose]] over the listed instances (asserted in
@@ -39,42 +41,35 @@ object SpecialCores {
   }
 
   /** The classical k-cores as Charikar's greedy peel over the CSR graph, O(m log n):
-    * removing v lowers each live neighbour by one. */
+    * removing v costs each live neighbour one edge. */
   def decomposeEdges(g: LocalGraph): CliqueCore.Result =
     new Peel(Pattern.Edge.degrees(g)) {
       protected def removed(v: Int): Unit = {
         var i = g.off(v)
-        while (i < g.off(v + 1)) { if (live(g.nbr(i))) lower(g.nbr(i), 1); i += 1 }
+        while (i < g.off(v + 1)) { if (live(g.nbr(i))) lose(g.nbr(i), 1); i += 1 }
       }
     }.run(g.m)
 
   /** (k, h-clique)-core decomposition for h >= 3 that lists again instead
     * of storing: removing u lists the h-cliques through u whose other
-    * members are live neighbours of u, and each of those members loses them
-    * all in one update. Every clique is listed twice, once by the counting
-    * pass and once when its first member leaves. */
+    * members are live neighbours of u, and each of those members loses one
+    * per clique. Every clique is listed twice, once by the counting pass and
+    * once when its first member leaves. */
   def decomposeCliques(g: LocalGraph, h: Int): CliqueCore.Result = {
     require(h >= 3, s"the clique peel needs h >= 3, got $h")
     val n       = g.n
     val cliques = new CliqueEnum(g, h)
     val deg     = cliques.degrees
     val rest    = new Array[Int](java.util.stream.IntStream.range(0, n).map(g.degree(_)).max().orElse(0)) // u's live neighbours, by id
-    val loss    = new Array[Long](n) // what each vertex loses with the current removal
-    val hit     = new Array[Int](n)  // the vertices with loss > 0
     new Peel(deg) {
-      private var hits = 0
       // c(0) is the removed vertex
-      private val kill: Array[Int] => Unit = c => {
-        var j = 1
-        while (j < h) { val w = c(j); if (loss(w) == 0) { hit(hits) = w; hits += 1 }; loss(w) += 1; j += 1 }
-      }
+      private val kill: Array[Int] => Unit = c => { var j = 1; while (j < h) { lose(c(j), 1); j += 1 } }
 
       protected def removed(u: Int): Unit = {
         var k = 0
         var i = g.off(u)
         while (i < g.off(u + 1)) { if (live(g.nbr(i))) { rest(k) = g.nbr(i); k += 1 }; i += 1 }
         cliques.through(u, rest, k)(kill)
-        while (hits > 0) { hits -= 1; val w = hit(hits); lower(w, loss(w)); loss(w) = 0 }
       }
     }.run(java.util.Arrays.stream(deg).sum / h)
   }
@@ -85,18 +80,9 @@ object SpecialCores {
     val n     = g.n
     val nbr   = g.nbr
     val d     = java.util.stream.IntStream.range(0, n).map(g.degree(_)).toArray // residual edge-degree
-    val loss  = new Array[Long](n)          // what each vertex loses with the current removal
-    val hit   = new Array[Int](n)           // the vertices with loss > 0
     import Combinatorics.choose
 
     new Peel(star.degrees(g)) {
-      private var hits = 0
-
-      private def lose(w: Int, by: Long): Unit = if (by > 0) {
-        if (loss(w) == 0) { hit(hits) = w; hits += 1 }
-        loss(w) += by
-      }
-
       protected def removed(v: Int): Unit = {
         // u ∈ N(v) loses the stars centered on u with tail v and those
         // centered on v with tail u; w ∈ N(u)∖{v} those centered on u with
@@ -116,7 +102,6 @@ object SpecialCores {
           }
           i += 1
         }
-        while (hits > 0) { hits -= 1; val w = hit(hits); lower(w, loss(w)); loss(w) = 0 }
       }
     }.run(star.count(g))
   }
@@ -136,7 +121,7 @@ object SpecialCores {
         var i = 0
         while (i < w.size) {
           val c = w.common(w.ends(i)).toLong
-          if (c > 1) lower(w.ends(i), c * (c - 1) / 2)
+          lose(w.ends(i), c * (c - 1) / 2)
           i += 1
         }
         i = g.off(v)
@@ -146,7 +131,7 @@ object SpecialCores {
             var t = 0L
             var j = g.off(a)
             while (j < g.off(a + 1)) { if (nbr(j) != v && alive(nbr(j))) t += w.common(nbr(j)) - 1; j += 1 }
-            if (t > 0) lower(a, t)
+            lose(a, t)
           }
           i += 1
         }
