@@ -6,9 +6,10 @@ import repro.data.SynthGraphs
 import repro.exp.Harness
 import repro.patterns.{Pattern, SpecialCores}
 
-/** The approximations' clique peel lists again through each removed vertex
-  * and keeps no instance store, so it finishes on inputs whose instances do
-  * not fit the heap; it must also give every result field of the store peel.
+/** The approximations' clique peel counts the cliques through each removed
+  * vertex without listing them and keeps no instance store, so it finishes
+  * on inputs whose instances do not fit the heap; it must also give every
+  * result field of the store peel.
   * Minutes long, hence a bench and not a unit test.
   */
 class CliquePeelBench extends BenchBase {
@@ -30,7 +31,7 @@ class CliquePeelBench extends BenchBase {
 
   for ((name, scale, seed, h) <- Seq(("R-MAT", 0.04, 11L, 4), ("R-MAT", 0.04, 16L, 3), ("R-MAT", 0.04, 112L, 3),
                                      ("Enwiki-2017", 0.001, 16L, 3), ("Enwiki-2017", 0.001, 112L, 3))) {
-    test(s"$h-clique peel that lists again equals the store peel on every Result field ($name@$scale, seed $seed)") {
+    test(s"$h-clique peel that counts equals the store peel on every Result field ($name@$scale, seed $seed)") {
       val g = SynthGraphs.standIn(name, scale, seed).g
       assert(TestUtil.peelFields(SpecialCores.decompose(g, Pattern.Clique(h))) ==
                TestUtil.peelFields(CliqueCore.decompose(g, Pattern.Clique(h))))

@@ -8,8 +8,9 @@ import scala.collection.mutable
   * generalized to any pattern: the store peel. CoreExact and QueryDensest
   * peel here because they go on to read the same store's loads, partitions
   * and networks. The approximations' peels keep no store
-  * ([[repro.patterns.SpecialCores.decompose]]): for h-cliques they list
-  * again through each removed vertex, as the paper writes Algorithm 3.
+  * ([[repro.patterns.SpecialCores.decompose]]): for h-cliques they count
+  * the cliques through each removed vertex, as the paper writes Algorithm 3
+  * but without listing them.
   *
   * Instances of Ψ are stored once in one flat `Int` array with stride h
   * ([[Instances]]), which also carries its vertex range n and each vertex's
@@ -19,7 +20,7 @@ import scala.collection.mutable
   * pass. The shared [[Peel]] removes the live vertex of smallest
   * (Ψ-degree, id); its live instances die, and each other member loses
   * them all in one update. Core numbers, and every other result field, are
-  * those of the peel that lists again, with the same worst-case complexity
+  * those of the store-free clique peel, with the same worst-case complexity
   * (see DESIGN.md "Deviations").
   *
   * The peel also records, for every prefix of removals, μ and the density of

@@ -6,9 +6,9 @@ package repro.core
   * and the densest residual graph. Subclasses differ only in where a
   * removal's losses come from: [[CliqueCore]]'s store peel reads them from
   * its instance store and index; the clique peel of
-  * [[repro.patterns.SpecialCores]] lists again the cliques through the
-  * removed vertex, and its edge, star and diamond peels count them in
-  * closed form.
+  * [[repro.patterns.SpecialCores]] counts the cliques through the removed
+  * vertex per live neighbour without listing them, and its edge, star and
+  * diamond peels count them in closed form.
   *
   * Live vertices sit in an indexed binary min-heap on two primitive arrays,
   * `heap` and its inverse `pos`, keyed by (deg(v), v). Degrees only fall, so

@@ -7,9 +7,10 @@ import repro.graph.LocalGraph
 /** (k, Ψ)-core decompositions that keep no instance store: the peels of
   * PeelApp, IncApp and every CoreApp round.
   *
-  * h-cliques (h >= 3) peel as Algorithm 3 is written: the initial degrees
-  * come from one counting pass, and removing u lists again the cliques
-  * through u among its live neighbours, over the orientation that pass built.
+  * h-cliques (h >= 3) peel as Algorithm 3 is written, but count where it
+  * lists: the initial degrees come from one counting pass, and removing u
+  * counts, per live neighbour, the cliques through u among u's live
+  * neighbours, over the orientation that pass built.
   * For edges, x-stars and the diamond, pattern-degrees have closed forms over
   * the residual graph (Appendix D). An edge's pattern-degree is the residual
   * degree. For stars and the diamond, removing v kills only instances
@@ -50,26 +51,25 @@ object SpecialCores {
       }
     }.run(g.m)
 
-  /** (k, h-clique)-core decomposition for h >= 3 that lists again instead
-    * of storing: removing u lists the h-cliques through u whose other
-    * members are live neighbours of u, and each of those members loses one
-    * per clique. Every clique is listed twice, once by the counting pass and
-    * once when its first member leaves. */
+  /** (k, h-clique)-core decomposition for h >= 3 that keeps no store and
+    * lists no clique: removing u counts the h-cliques through u whose other
+    * members are live neighbours of u, per member ([[CliqueEnum.countThrough]]
+    * into a scratch array), and each member loses its count. */
   def decomposeCliques(g: LocalGraph, h: Int): CliqueCore.Result = {
     require(h >= 3, s"the clique peel needs h >= 3, got $h")
     val n       = g.n
     val cliques = new CliqueEnum(g, h)
     val deg     = cliques.degrees
     val rest    = new Array[Int](java.util.stream.IntStream.range(0, n).map(g.degree(_)).max().orElse(0)) // u's live neighbours, by id
+    val acc     = new Array[Long](n) // what each of them loses; 0 between removals
     new Peel(deg) {
-      // c(0) is the removed vertex
-      private val kill: Array[Int] => Unit = c => { var j = 1; while (j < h) { lose(c(j), 1); j += 1 } }
-
       protected def removed(u: Int): Unit = {
         var k = 0
         var i = g.off(u)
         while (i < g.off(u + 1)) { if (live(g.nbr(i))) { rest(k) = g.nbr(i); k += 1 }; i += 1 }
-        cliques.through(u, rest, k)(kill)
+        cliques.countThrough(rest, k, acc)
+        i = 0
+        while (i < k) { lose(rest(i), acc(rest(i))); acc(rest(i)) = 0; i += 1 }
       }
     }.run(java.util.Arrays.stream(deg).sum / h)
   }

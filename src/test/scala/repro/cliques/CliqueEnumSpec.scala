@@ -108,21 +108,45 @@ class CliqueEnumSpec extends AnyFunSuite {
   }
 
   for (seed <- 1 to 3) {
-    test(s"through(u, live neighbours) lists exactly the h-cliques holding u and no removed vertex, u first, h = 2..5 (seed=$seed)") {
+    test(s"countThrough(live neighbours of u) counts, for each w, exactly the h-cliques holding u and w and no removed vertex, h = 2..5 (seed=$seed)") {
       val g       = TestUtil.randomGraph(30, 0.45, seed)
       val removed = Set(3, 11, 17, 24)
       for (h <- 2 to 5) {
         val e   = new CliqueEnum(g, h)
         val all = TestUtil.referenceCliques(g, h).map(_.toSeq)
         for (u <- 0 until g.n) {
-          val rest = TestUtil.adj(g, u).filterNot(removed)
-          val b    = Seq.newBuilder[Seq[Int]]
-          e.through(u, rest, rest.length) { cl => assert(cl(0) == u); b += cl.sorted.toSeq }
-          val got  = b.result()
-          val want = all.filter(c => c.contains(u) && c.forall(v => v == u || !removed(v)))
-          assert(got.toSet == want.toSet && got.distinct.length == got.length, s"h=$h u=$u")
+          val rest  = TestUtil.adj(g, u).filterNot(removed)
+          val acc   = new Array[Long](g.n)
+          val total = e.countThrough(rest, rest.length, acc)
+          val want  = all.filter(c => c.contains(u) && c.forall(v => v == u || !removed(v)))
+          assert(total == want.length, s"h=$h u=$u")
+          for (w <- 0 until g.n) {
+            val expect = if (rest.contains(w)) want.count(_.contains(w)).toLong else 0L
+            assert(acc(w) == expect, s"h=$h u=$u w=$w")
+          }
         }
       }
+    }
+  }
+
+  for (h <- 3 to 6; c <- Seq(h, h + 1, 12, 40)) {
+    test(s"every clique degree of K_$c is C(${c - 1}, ${h - 1}) for h = $h") {
+      val want = choose(c - 1, h - 1)
+      assert(new CliqueEnum(TestUtil.complete(c), h).degrees.toSeq == Seq.fill(c)(want))
+    }
+  }
+
+  test("degrees equal the listing's per-vertex counts on K30 planted in G(200, 0.05), h = 3..6") {
+    val base = TestUtil.randomGraph(200, 0.05, 4)
+    val g = LocalGraph.fromEdges(
+      base.edgesExternal ++ (for (i <- 0 until 30; j <- (i + 1) until 30) yield (i.toLong * 6, j.toLong * 6)),
+      0L until 200L)
+    for (h <- 3 to 6) {
+      val e      = new CliqueEnum(g, h)
+      val listed = new Array[Long](g.n)
+      e.forEach(_.foreach(listed(_) += 1))
+      assert(listed.sum >= h * choose(30, h), s"h=$h")
+      assert(e.degrees.toSeq == listed.toSeq, s"h=$h")
     }
   }
 }
